@@ -15,9 +15,10 @@ bench:
 # Smallest k per table, no microbenchmarks; writes
 # BENCH_sweeps.quick.json. Finishes in seconds — used by ci to keep the
 # sweep pipeline (engine, pool, GC accounting, JSON writer) exercised.
-# Runs the fused scheduler (the default) and asserts whole-run parallel
-# speedup >= 1.0 when both --jobs and the recommended domain count are
-# >= 2; on a single-core container the check is skipped with a notice.
+# Drains every table through the one fused task graph and asserts
+# whole-run parallel speedup >= 1.0 when both --jobs and the recommended
+# domain count are >= 2; on a single-core machine the check is skipped
+# with a notice.
 bench-quick:
 	dune exec bench/main.exe -- --quick
 

@@ -20,12 +20,11 @@
    `Bsm_runtime.Pool`). The two result sets must be identical — the
    harness fails loudly if they diverge — and the wall-clocks are
    recorded in BENCH_sweeps.json so the perf trajectory is tracked
-   across PRs. By default the parallel pass is *fused*: all tables'
-   cells (chaos grid included) enter one shared task graph with a single
-   drain point, so no table pays a barrier behind another table's
-   straggler cell; `--barrier` restores the legacy one-Pool.map-per-table
-   mode for A/B comparison. Parallelism comes from the --jobs flag, else
-   BSM_JOBS, else the machine's recommended domain count.
+   across PRs. The parallel pass is *fused*: all tables' cells (chaos
+   grid included) enter one shared task graph with a single drain point,
+   so no table pays a barrier behind another table's straggler cell.
+   Parallelism comes from the --jobs flag, else BSM_JOBS, else the
+   machine's recommended domain count.
 
    EXPERIMENTS.md records paper-vs-measured for each table. *)
 
@@ -49,45 +48,21 @@ let setting ~k ~topology ~auth ~tl ~tr =
    perf plumbing, wired into `make ci` as `make bench-quick`. *)
 let quick = ref false
 
-(* How the parallel pass is scheduled:
-
-   - [Barrier pool] — the legacy (PR 3) shape: each table runs as its own
-     `Pool.map` with a full barrier after it, so every table serializes
-     behind its own straggler cell while the other lanes idle;
-   - [Fused (pool, batch)] — every table registers its cells into one
-     shared `Sweep.Fused` task graph; nothing parallel runs until the
-     single drain point, after which each table reads its results back.
-
-   Fused is the default; `--barrier` restores the legacy mode so the two
-   can be A/B'd on the same machine. *)
-type sched =
-  | Barrier of Pool.t
-  | Fused of Pool.t * H.Sweep.Fused.t
-
-(* What the parallel pass cost: a whole-table measurement in barrier
-   mode, per-task attribution (summed wall, worst cell, GC words) in
-   fused mode — a fused table has no private wall-clock of its own. *)
-type par_cost =
-  | Barrier_par of H.Sweep.measurement
-  | Fused_tasks of H.Sweep.Fused.table_stats
-
 type sweep_record = {
   sweep_table : string;
   sweep_cells : int;
   sweep_k_range : string;
   sweep_seq : H.Sweep.measurement;
-  sweep_par : par_cost;
+  sweep_par : H.Sweep.Fused.table_stats;
 }
 
 let sweep_records : sweep_record list ref = ref []
 
-(* Run the sequential pass now (its results are the reference), schedule
-   the parallel pass per the mode, and return a getter to be called from
-   the table's renderer — after the drain point in fused mode. The
-   getter asserts the parallel results are bit-identical to the
-   sequential ones (cells must return plain data) and records both
-   costs. In barrier mode the parallel pass runs right here, table-local
-   barrier included, and the getter is just a cache. *)
+(* Run the sequential pass now (its results are the reference), register
+   the cells into the fused batch [sched], and return a getter to be
+   called from the table's renderer, after the drain point. The getter
+   asserts the parallel results are bit-identical to the sequential ones
+   (cells must return plain data) and records both costs. *)
 let sweep ~sched ~table ~k_range f cells =
   let seq, seq_m = H.Sweep.measure (fun () -> List.map f cells) in
   let record par =
@@ -101,22 +76,13 @@ let sweep ~sched ~table ~k_range f cells =
       }
       :: !sweep_records
   in
-  match sched with
-  | Barrier pool ->
-    let par, par_m = H.Sweep.measure (fun () -> H.Sweep.map ~pool f cells) in
+  let handle = H.Sweep.Fused.add sched ~table f cells in
+  fun () ->
+    let par = H.Sweep.Fused.results handle in
     if seq <> par then
-      failwith (table ^ ": parallel sweep diverged from the sequential results");
-    record (Barrier_par par_m);
-    fun () -> par
-  | Fused (_, batch) ->
-    let handle = H.Sweep.Fused.add batch ~table f cells in
-    fun () ->
-      let par = H.Sweep.Fused.results handle in
-      if seq <> par then
-        failwith
-          (table ^ ": fused parallel sweep diverged from the sequential results");
-      record (Fused_tasks (H.Sweep.Fused.stats handle));
-      par
+      failwith (table ^ ": fused parallel sweep diverged from the sequential results");
+    record (H.Sweep.Fused.stats handle);
+    par
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -146,87 +112,48 @@ let total_sequential_ms () =
     (fun acc r -> acc +. r.sweep_seq.H.Sweep.wall_ms)
     0. !sweep_records
 
-(* Whole-run parallel wall: the single fused drain in fused mode, the
-   sum of the per-table parallel walls (barriers included) in barrier
-   mode. *)
-let total_parallel_ms ~fused_run () =
-  match fused_run with
-  | Some (rs : H.Sweep.Fused.run_stats) -> rs.H.Sweep.Fused.wall_ms
-  | None ->
-    List.fold_left
-      (fun acc r ->
-        match r.sweep_par with
-        | Barrier_par m -> acc +. m.H.Sweep.wall_ms
-        | Fused_tasks _ -> acc)
-      0. !sweep_records
-
-let write_sweeps_json ~jobs ~fused_run path =
+let write_sweeps_json ~jobs ~(fused_run : H.Sweep.Fused.run_stats) path =
   let records = List.rev !sweep_records in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"jobs\": %d,\n  \"recommended_domains\": %d,\n  \"mode\": \"%s\",\n"
+       "  \"jobs\": %d,\n  \"recommended_domains\": %d,\n  \"mode\": \"fused\",\n"
        jobs
-       (Domain.recommended_domain_count ())
-       (match fused_run with Some _ -> "fused" | None -> "barrier"));
+       (Domain.recommended_domain_count ()));
   (* The whole-run block is the number that actually reflects multicore
-     scaling: per-table speedups understate it because each table pays
-     its own barrier, while the fused drain overlaps tables. *)
+     scaling: the single drain overlaps every table's cells. *)
   let seq_total = total_sequential_ms () in
-  let par_total = total_parallel_ms ~fused_run () in
+  let par_total = fused_run.H.Sweep.Fused.wall_ms in
   let whole_speedup = if par_total > 0. then seq_total /. par_total else 0. in
-  (match fused_run with
-  | Some (rs : H.Sweep.Fused.run_stats) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"whole_run\": {\"sequential_ms\": %.3f, \"parallel_ms\": %.3f, \
-          \"speedup\": %.3f, \"tasks\": %d, \"steals\": %d},\n"
-         seq_total par_total whole_speedup rs.H.Sweep.Fused.tasks
-         rs.H.Sweep.Fused.steals)
-  | None ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"whole_run\": {\"sequential_ms\": %.3f, \"parallel_ms\": %.3f, \
-          \"speedup\": %.3f},\n"
-         seq_total par_total whole_speedup));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"whole_run\": {\"sequential_ms\": %.3f, \"parallel_ms\": %.3f, \
+        \"speedup\": %.3f, \"tasks\": %d, \"steals\": %d},\n"
+       seq_total par_total whole_speedup fused_run.H.Sweep.Fused.tasks
+       fused_run.H.Sweep.Fused.steals);
   Buffer.add_string buf "  \"sweeps\": [\n";
   List.iteri
     (fun i r ->
       let seq_ms = r.sweep_seq.H.Sweep.wall_ms in
       let sep = if i = List.length records - 1 then "" else "," in
-      (match r.sweep_par with
-      | Barrier_par par_m ->
-        let par_ms = par_m.H.Sweep.wall_ms in
-        let speedup = if par_ms > 0. then seq_ms /. par_ms else 0. in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"table\": \"%s\", \"cells\": %d, \"k_range\": \"%s\", \
-              \"sequential_ms\": %.3f, \"parallel_ms\": %.3f, \"speedup\": \
-              %.3f,\n\
-             \     %s,\n\
-             \     %s}%s\n"
-             (json_escape r.sweep_table) r.sweep_cells
-             (json_escape r.sweep_k_range) seq_ms par_ms speedup
-             (json_of_measurement "seq" r.sweep_seq)
-             (json_of_measurement "par" par_m) sep)
-      | Fused_tasks ts ->
-        (* No per-table parallel wall exists in fused mode — the drain is
-           shared — so the record carries per-task attribution instead:
-           total task time (≈ this table's CPU cost) and the straggler
-           cell a per-table barrier would have serialized behind. *)
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"table\": \"%s\", \"cells\": %d, \"k_range\": \"%s\", \
-              \"sequential_ms\": %.3f, \"fused_task_ms\": %.3f, \
-              \"fused_task_max_ms\": %.3f, \"fused_minor_words\": %.0f, \
-              \"fused_major_words\": %.0f,\n\
-             \     %s}%s\n"
-             (json_escape r.sweep_table) r.sweep_cells
-             (json_escape r.sweep_k_range) seq_ms
-             ts.H.Sweep.Fused.task_ms_total ts.H.Sweep.Fused.task_ms_max
-             ts.H.Sweep.Fused.minor_words ts.H.Sweep.Fused.major_words
-             (json_of_measurement "seq" r.sweep_seq) sep)))
+      (* No per-table parallel wall exists — the drain is shared — so the
+         record carries per-task attribution instead: total task time
+         (≈ this table's CPU cost) and the straggler cell a per-table
+         barrier would have serialized behind. *)
+      let ts = r.sweep_par in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"table\": \"%s\", \"cells\": %d, \"k_range\": \"%s\", \
+            \"sequential_ms\": %.3f, \"fused_task_ms\": %.3f, \
+            \"fused_task_max_ms\": %.3f, \"fused_minor_words\": %.0f, \
+            \"fused_major_words\": %.0f,\n\
+           \     %s}%s\n"
+           (json_escape r.sweep_table) r.sweep_cells
+           (json_escape r.sweep_k_range) seq_ms
+           ts.H.Sweep.Fused.task_ms_total ts.H.Sweep.Fused.task_ms_max
+           ts.H.Sweep.Fused.minor_words ts.H.Sweep.Fused.major_words
+           (json_of_measurement "seq" r.sweep_seq) sep))
     records;
   Buffer.add_string buf "  ]\n}\n";
   let oc = open_out path in
@@ -238,8 +165,7 @@ let write_sweeps_json ~jobs ~fused_run path =
 (* Each table function registers its sweep(s) with [sched] immediately
    (which also runs the sequential reference pass) and returns a
    renderer thunk; the driver calls the renderers after the drain point,
-   in registration order, so the printed output is identical in both
-   modes. *)
+   in registration order. *)
 
 let table_t1 ~sched () =
   let k = 3 in
@@ -613,7 +539,7 @@ let table_a3 ~sched () =
   let runs = if !quick then 5 else 30 in
   let seeds = Util.range 1 (runs + 1) in
   (* Both protocol sweeps register into the shared graph before either
-     renders — in fused mode their cells interleave with every other
+     renders — their cells interleave with every other
      table's. *)
   let register name protocol =
     sweep ~sched
@@ -843,7 +769,7 @@ let table_chaos ~sched ~jobs () =
 (* The large-k scale frontier (ROADMAP priority 1): Gale–Shapley plus
    sharded early-exit verification on implicit [Flat] instances,
    k = 10³..10⁶ (quick: the 10³ rows). The verification shards are the
-   sweep cells — in fused mode they interleave with every other table's
+   sweep cells — they interleave with every other table's
    cells in the single drain. GS itself runs in the registration phase
    ([Scale.prepare]), before cells enter the graph: the prepared
    matchings are immutable and shared read-only across domains. *)
@@ -868,19 +794,15 @@ let table_scale ~sched ~jobs () =
         (fun ((p : H.Scale.prepared), table, get) ->
           let shard_counts = get () in
           (* [get] recorded this table's sweep: reuse its measurements as
-             the verification walls. Fused mode has no per-table parallel
-             wall (the drain is shared), so the summed per-task
-             attribution stands in. *)
+             the verification walls. There is no per-table parallel wall
+             (the drain is shared), so the summed per-task attribution
+             stands in. *)
           let r =
             List.find (fun r -> String.equal r.sweep_table table) !sweep_records
           in
-          let verify_par_ms =
-            match r.sweep_par with
-            | Barrier_par m -> m.H.Sweep.wall_ms
-            | Fused_tasks ts -> ts.H.Sweep.Fused.task_ms_total
-          in
           H.Scale.assemble p ~shard_counts
-            ~verify_seq_ms:r.sweep_seq.H.Sweep.wall_ms ~verify_par_ms)
+            ~verify_seq_ms:r.sweep_seq.H.Sweep.wall_ms
+            ~verify_par_ms:r.sweep_par.H.Sweep.Fused.task_ms_total)
         per_row
     in
     Format.printf
@@ -1070,7 +992,6 @@ let () =
   Logs.set_level (Some Logs.Warning);
   let chaos_only = Array.exists (String.equal "--chaos-quick") Sys.argv in
   quick := chaos_only || Array.exists (String.equal "--quick") Sys.argv;
-  let barrier = Array.exists (String.equal "--barrier") Sys.argv in
   let jobs = Pool.resolve_jobs ?jobs:(jobs_from_argv ()) () in
   print_endline "byzantine stable matching — experiment harness";
   Printf.printf
@@ -1078,51 +999,44 @@ let () =
      recommended); scheduler: %s%s\n"
     jobs
     (Domain.recommended_domain_count ())
-    (if barrier then "per-table barriers (--barrier)"
-     else "fused (one task graph, one drain point)")
+    "fused (one task graph, one drain point)"
     (if !quick then "; --quick: smallest k per table, no microbenchmarks"
      else "");
   print_newline ();
-  let fused_run = ref None in
-  Pool.with_pool ~jobs (fun pool ->
-      let sched =
-        if barrier then Barrier pool else Fused (pool, H.Sweep.Fused.create ())
-      in
-      (* Registration phase: sequential reference passes run here, cells
-         enter the shared graph (fused) or run behind per-table barriers
-         (legacy). Explicit sequencing — a list literal would evaluate
-         right-to-left. *)
-      let renderers = ref [] in
-      let reg f = renderers := f () :: !renderers in
-      if not chaos_only then begin
-        reg (table_t1 ~sched);
-        reg (table_t2 ~sched);
-        reg (table_t3_gs ~sched);
-        reg (table_t3_protocols ~sched);
-        reg (table_t3_distributed_gs ~sched);
-        reg (table_a1 ~sched);
-        reg (table_a2 ~sched);
-        reg (table_a3 ~sched);
-        reg (table_a4 ~sched)
-      end;
-      reg (table_chaos ~sched ~jobs);
-      if not chaos_only then reg (table_scale ~sched ~jobs);
-      (* The single drain point: every registered cell — all tables plus
-         the chaos grid — executes in one parallel pass. *)
-      (match sched with
-      | Fused (pool, batch) ->
-        fused_run := Some (H.Sweep.Fused.drain ~pool batch)
-      | Barrier _ -> ());
-      (* Render in registration order; fused getters verify bit-identity
-         against their sequential references here. *)
-      List.iter (fun render -> render ()) (List.rev !renderers));
+  let fused_run =
+    Pool.with_pool ~jobs (fun pool ->
+        let sched = H.Sweep.Fused.create () in
+        (* Registration phase: sequential reference passes run here, cells
+           enter the shared graph. Explicit sequencing — a list literal
+           would evaluate right-to-left. *)
+        let renderers = ref [] in
+        let reg f = renderers := f () :: !renderers in
+        if not chaos_only then begin
+          reg (table_t1 ~sched);
+          reg (table_t2 ~sched);
+          reg (table_t3_gs ~sched);
+          reg (table_t3_protocols ~sched);
+          reg (table_t3_distributed_gs ~sched);
+          reg (table_a1 ~sched);
+          reg (table_a2 ~sched);
+          reg (table_a3 ~sched);
+          reg (table_a4 ~sched)
+        end;
+        reg (table_chaos ~sched ~jobs);
+        if not chaos_only then reg (table_scale ~sched ~jobs);
+        (* The single drain point: every registered cell — all tables plus
+           the chaos grid — executes in one parallel pass. *)
+        let fused_run = H.Sweep.Fused.drain ~pool sched in
+        (* Render in registration order; the getters verify bit-identity
+           against their sequential references here. *)
+        List.iter (fun render -> render ()) (List.rev !renderers);
+        fused_run)
+  in
   if not !quick then run_microbenchmarks ();
   if chaos_only then begin
-    (match !fused_run with
-    | Some rs ->
-      Printf.printf "fused drain: %.1f ms over %d tasks (%d steals)\n"
-        rs.H.Sweep.Fused.wall_ms rs.H.Sweep.Fused.tasks rs.H.Sweep.Fused.steals
-    | None -> ());
+    Printf.printf "fused drain: %.1f ms over %d tasks (%d steals)\n"
+      fused_run.H.Sweep.Fused.wall_ms fused_run.H.Sweep.Fused.tasks
+      fused_run.H.Sweep.Fused.steals;
     print_endline "done (chaos grid only)."
   end
   else begin
@@ -1131,14 +1045,12 @@ let () =
     let json_path =
       if !quick then "BENCH_sweeps.quick.json" else "BENCH_sweeps.json"
     in
-    write_sweeps_json ~jobs ~fused_run:!fused_run json_path;
+    write_sweeps_json ~jobs ~fused_run json_path;
     Printf.printf
       "wrote %s (%d sweeps with GC deltas; every parallel sweep verified \
        bit-identical to its sequential run)\n"
       json_path
       (List.length !sweep_records);
-    (match !fused_run with
-    | Some rs -> check_whole_run_speedup ~jobs rs
-    | None -> ());
+    check_whole_run_speedup ~jobs fused_run;
     print_endline "done. See EXPERIMENTS.md for the paper-vs-measured discussion."
   end

@@ -10,8 +10,7 @@
                  one to exercise the shrinker end-to-end)
      replay      re-execute a repro file bit-identically and check it
      fuzz        deterministic decoder fuzzing over every registered codec
-     bench       the chaos grid as a scheduling benchmark (--fused for the
-                 shared task-graph scheduler and its steal counters);
+     bench       the chaos grid as a scheduling benchmark;
                  --scale for the T-scale large-k bench (GS + sharded
                  verification on implicit instances, BENCH_scale.json)
      ssm         execute a simplified-stable-matching scenario
@@ -543,7 +542,7 @@ let bench_cmd =
       exit 1
     end
   in
-  let run full fused jobs scale quick =
+  let run full jobs scale quick =
     if scale || quick then run_scale ~quick ~full ~jobs
     else begin
     let cells =
@@ -551,33 +550,14 @@ let bench_cmd =
       else Chaos.Chaos_sweep.quick_grid ()
     in
     let jobs = Bsm_runtime.Pool.resolve_jobs ?jobs () in
-    let outcomes, wall_ms, tasks, steals =
+    let outcomes, m =
       Bsm_runtime.Pool.with_pool ~jobs (fun pool ->
-          if fused then begin
-            let batch = H.Sweep.Fused.create () in
-            let handle =
-              Chaos.Chaos_sweep.submit batch ~table:"chaos grid" cells
-            in
-            let rs = H.Sweep.Fused.drain ~pool batch in
-            ( H.Sweep.Fused.results handle,
-              rs.H.Sweep.Fused.wall_ms,
-              rs.H.Sweep.Fused.tasks,
-              rs.H.Sweep.Fused.steals )
-          end
-          else begin
-            let outcomes, m =
-              H.Sweep.measure (fun () -> Chaos.Chaos_sweep.run_cells ~pool cells)
-            in
-            outcomes, m.H.Sweep.wall_ms, List.length cells, 0
-          end)
+          H.Sweep.measure (fun () -> Chaos.Chaos_sweep.run_cells ~pool cells))
     in
     let s = Chaos.Chaos_sweep.summarize outcomes in
     Format.printf "%a@." Chaos.Chaos_sweep.pp_summary s;
-    Format.printf
-      "scheduler: %s — %.1f ms wall, %d tasks, %d steals, %d job(s)@."
-      (if fused then "fused (one task graph, one drain point)"
-       else "single barriered map")
-      wall_ms tasks steals jobs;
+    Format.printf "chaos grid: %.1f ms wall, %d cells, %d job(s)@." m.H.Sweep.wall_ms
+      (List.length cells) jobs;
     if s.Chaos.Chaos_sweep.violated > 0 then exit 1
     end
   in
@@ -588,15 +568,6 @@ let bench_cmd =
           ~doc:
             "Chaos grid: run the full grid (k = 2 and 4, three chaos seeds). \
              With --scale: add the k = 10^6 row.")
-  in
-  let fused =
-    Arg.(
-      value & flag
-      & info [ "fused" ]
-          ~doc:
-            "Drain the grid through the fused task-graph scheduler (one task \
-             per cell, work-stealing lanes) instead of one barriered map, and \
-             report its steal counters.")
   in
   let jobs =
     Arg.(
@@ -628,10 +599,10 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the chaos grid as a scheduling benchmark and report wall clock, \
-          task and steal counts, or the T-scale large-k bench with --scale \
+         "Run the chaos grid as a scheduling benchmark and report its wall \
+          clock, or the T-scale large-k bench with --scale \
           (the full experiment tables live in bench/main.exe).")
-    Term.(const run $ full $ fused $ jobs $ scale $ quick)
+    Term.(const run $ full $ jobs $ scale $ quick)
 
 (* --- attack ------------------------------------------------------------------ *)
 

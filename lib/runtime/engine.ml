@@ -1,41 +1,14 @@
 open Bsm_prelude
-module Topology = Bsm_topology.Topology
 module Wire = Bsm_wire.Wire
 
 let src = Logs.Src.create "bsm.engine" ~doc:"synchronous round engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type payload = string
-
-type envelope = {
-  src : Party_id.t;
-  data : Wire.Slice.t;
-}
-
-(* A corruptible state cell: one protocol-level mutable value exposed to
-   the state-corruption plane through its canonical wire encoding.
-   [cell_encode] snapshots the current value; [cell_set] decodes candidate
-   bytes into the ref and reports whether they were well-formed (a decode
-   failure leaves the value untouched). *)
-type state_cell = {
-  cell_encode : unit -> payload;
-  cell_set : payload -> bool;
-}
-
-let state_cell (type a) (codec : a Wire.t) (r : a ref) : state_cell =
-  {
-    cell_encode = (fun () -> Wire.encode codec !r);
-    cell_set =
-      (fun bytes ->
-        (* Codecs may validate in [inject] by raising; treat any failure
-           as "not a well-formed state". *)
-        match Wire.decode codec bytes with
-        | Ok v ->
-          r := v;
-          true
-        | Error _ | (exception _) -> false);
-  }
+(* The round core's types ([payload], [envelope], [state_cell], [link],
+   [fault_model], [metrics]) and fault-model constructors; engine.mli
+   re-exports them and hides the rest of [Round]. *)
+include Round
 
 type env = {
   self : Party_id.t;
@@ -52,77 +25,12 @@ type env = {
   register_cell : state_cell -> unit;
 }
 
-let broadcast env targets msg =
-  let send_unless_self p = if not (Party_id.equal p env.self) then env.send p msg in
-  List.iter send_unless_self targets
-
 let broadcast_w env c targets v =
   env.send_multi_w c
     (List.filter (fun p -> not (Party_id.equal p env.self)) targets)
     v
 
 type program = env -> unit
-
-type link =
-  | Of_topology of Topology.t
-  | Custom of (Party_id.t -> Party_id.t -> bool)
-
-type fault_model = {
-  drop : round:int -> src:Party_id.t -> dst:Party_id.t -> bool;
-  drop_label : round:int -> src:Party_id.t -> dst:Party_id.t -> string option;
-  corrupt :
-    round:int ->
-    src:Party_id.t ->
-    dst:Party_id.t ->
-    prev:payload option ->
-    payload ->
-    (payload * string) option;
-  scramble :
-    round:int ->
-    party:Party_id.t ->
-    cell:int ->
-    attempt:int ->
-    payload ->
-    (payload * string) option;
-}
-
-let no_label ~round:_ ~src:_ ~dst:_ = None
-let no_corrupt ~round:_ ~src:_ ~dst:_ ~prev:_ _ = None
-let no_scramble ~round:_ ~party:_ ~cell:_ ~attempt:_ _ = None
-
-let fault_model ?(label = no_label) ?(corrupt = no_corrupt)
-    ?(scramble = no_scramble) drop =
-  { drop; drop_label = label; corrupt; scramble }
-
-let no_faults = fault_model (fun ~round:_ ~src:_ ~dst:_ -> false)
-
-(* How many mutation attempts the scramble hook gets per (round, party,
-   cell) before the cell is left untouched. A firing component keeps
-   firing across attempts (the coin ignores [attempt]); only the mutated
-   bytes vary, so the retry loop searches for a decodable — i.e.
-   arbitrary but well-formed — state. *)
-let max_scramble_attempts = 8
-
-(* The one scramble sweep, shared verbatim by the in-process engine and
-   the Live per-party-domain executor so seq == par stays bit-identical:
-   per registered cell (in registration order), ask the hook; on a hit,
-   retry with fresh bytes until a mutation decodes or the attempt budget
-   runs out. [on_scrambled] fires once per cell whose state was actually
-   replaced. *)
-let scramble_cells ~scramble ~round ~party scells ~on_scrambled =
-  List.iteri
-    (fun ci c ->
-      let payload = c.cell_encode () in
-      let rec go attempt =
-        if attempt < max_scramble_attempts then
-          match scramble ~round ~party ~cell:ci ~attempt payload with
-          | None -> ()
-          | Some (bytes, label) ->
-            if c.cell_set bytes then on_scrambled ~bytes ~label
-            else go (attempt + 1)
-      in
-      go 0)
-    scells
 
 type event = {
   event_round : int;
@@ -170,20 +78,6 @@ type party_result = {
   status : status;
   out : payload option;
   finished_round : int option;
-}
-
-type metrics = {
-  rounds_used : int;
-  messages_sent : int;
-  messages_delivered : int;
-  messages_dropped_topology : int;
-  messages_dropped_fault : int;
-  messages_corrupted : int;
-  messages_dropped_by_label : (string * int) list;
-  bytes_sent : int;
-  bytes_delivered : int;
-  cells_scrambled : int;
-  first_scramble_round : int option;
 }
 
 type result = {
@@ -328,175 +222,39 @@ type fiber_state =
   | Finished
   | Failed of string
 
-(* Per-sender frame arena: every send this round appends its bytes into
-   one shared encoder ([send_w] encodes in place — no per-message string
-   exists at all), and frame [i] is the explicit span
-   [out_offs.(i) .. out_offs.(i) + out_lens.(i)). Spans may be shared:
-   a multicast ([send_multi_w]) encodes its value once and records the
-   same span under every target, and [send] of the {e same} string it
-   just appended ([last_data], physical equality — the
-   [Engine.broadcast] pattern) reuses the existing span instead of
-   appending again. Delivery freezes the arena into one immutable base
-   string and hands out [(offset, len)] views of it; the encoder's
-   storage is then reset and reused next round. *)
-type outbox = {
-  arena : Wire.Enc.t;
-  mutable out_dsts : Party_id.t array;
-  mutable out_offs : int array;
-  mutable out_lens : int array;
-  mutable out_len : int;
-  mutable last_data : payload; (* last string appended via [Send] this round *)
-  mutable last_off : int;
-}
-
-(* Per-recipient span vector: the round's delivery sweep appends
-   [(sender, base, off, len)] rows in sender-dense order (the sweep
-   walks sender cells in roster order), so the append order {e is} the
-   inbox order — sorted by sender, send order preserved per sender —
-   with no per-sender buckets and no sort. *)
-type inbox = {
-  mutable in_src : int array; (* sender dense id *)
-  mutable in_base : string array;
-  mutable in_off : int array;
-  mutable in_len : int array;
-  mutable in_count : int;
-}
-
 type cell = {
   id : Party_id.t;
-  outbox : outbox;
-  inbox : inbox;
+  outbox : Round.outbox;
   mutable state : fiber_state;
   mutable out : payload option;
   mutable scells : state_cell list; (* reverse registration order *)
   mutable finished : int option; (* round the fiber returned in *)
 }
 
-let no_strings : string array = [||]
-
-let outbox_record ob dst ~off ~len =
-  let cap = Array.length ob.out_dsts in
-  if ob.out_len = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let dsts' = Array.make cap' dst
-    and offs' = Array.make cap' 0
-    and lens' = Array.make cap' 0 in
-    Array.blit ob.out_dsts 0 dsts' 0 ob.out_len;
-    Array.blit ob.out_offs 0 offs' 0 ob.out_len;
-    Array.blit ob.out_lens 0 lens' 0 ob.out_len;
-    ob.out_dsts <- dsts';
-    ob.out_offs <- offs';
-    ob.out_lens <- lens'
-  end;
-  ob.out_dsts.(ob.out_len) <- dst;
-  ob.out_offs.(ob.out_len) <- off;
-  ob.out_lens.(ob.out_len) <- len;
-  ob.out_len <- ob.out_len + 1
-
-let inbox_push ib ~src_dense ~base ~off ~len =
-  let cap = Array.length ib.in_src in
-  if ib.in_count = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let src' = Array.make cap' 0
-    and base' = Array.make cap' ""
-    and off' = Array.make cap' 0
-    and len' = Array.make cap' 0 in
-    Array.blit ib.in_src 0 src' 0 ib.in_count;
-    Array.blit ib.in_base 0 base' 0 ib.in_count;
-    Array.blit ib.in_off 0 off' 0 ib.in_count;
-    Array.blit ib.in_len 0 len' 0 ib.in_count;
-    ib.in_src <- src';
-    ib.in_base <- base';
-    ib.in_off <- off';
-    ib.in_len <- len'
-  end;
-  ib.in_src.(ib.in_count) <- src_dense;
-  ib.in_base.(ib.in_count) <- base;
-  ib.in_off.(ib.in_count) <- off;
-  ib.in_len.(ib.in_count) <- len;
-  ib.in_count <- ib.in_count + 1
-
 let run cfg ~programs =
   let k = cfg.k in
-  let roster = Party_id.all ~k in
-  let roster_arr = Array.of_list roster in
-  let connected =
-    match cfg.link with
-    | Of_topology t -> Topology.connected t
-    | Custom f -> fun u v -> (not (Party_id.equal u v)) && f u v
+  let tlog = trace_log cfg.trace_limit in
+  let plane =
+    Round.create
+      ?trace:(if cfg.trace_limit > 0 then Some (trace_record tlog) else None)
+      ~k ~link:cfg.link ~faults:cfg.faults ()
   in
   let cells =
-    Array.map
-      (fun id ->
-        {
-          id;
-          outbox =
-            {
-              arena = Wire.Enc.create ();
-              out_dsts = [||];
-              out_offs = [||];
-              out_lens = [||];
-              out_len = 0;
-              last_data = "";
-              last_off = 0;
-            };
-          inbox =
-            {
-              in_src = [||];
-              in_base = no_strings;
-              in_off = [||];
-              in_len = [||];
-              in_count = 0;
-            };
-          state = Finished;
-          out = None;
-          scells = [];
-          finished = None;
-        })
-      roster_arr
+    Array.of_list
+      (List.map
+         (fun id ->
+           {
+             id;
+             outbox = Round.outbox ();
+             state = Finished;
+             out = None;
+             scells = [];
+             finished = None;
+           })
+         (Party_id.all ~k))
   in
-  let cell_of id = cells.(Party_id.to_dense ~k id) in
   let iter_cells f = Array.iter f cells in
   let round = ref 0 in
-  let tlog = trace_log cfg.trace_limit in
-  let record ?(label = None) event_src event_dst event_bytes event_fate =
-    trace_record tlog ~round:!round ~src:event_src ~dst:event_dst ~bytes:event_bytes
-      ~fate:event_fate ~label
-  in
-  let messages_sent = ref 0 in
-  let messages_delivered = ref 0 in
-  let dropped_topology = ref 0 in
-  let dropped_fault = ref 0 in
-  (* Per-label omission counts; a handful of schedule components at most,
-     so an assoc list beats a hash table. *)
-  let dropped_by_label : (string * int ref) list ref = ref [] in
-  let count_label l =
-    match List.assoc_opt l !dropped_by_label with
-    | Some r -> incr r
-    | None -> dropped_by_label := (l, ref 1) :: !dropped_by_label
-  in
-  let messages_corrupted = ref 0 in
-  let bytes_sent = ref 0 in
-  let bytes_delivered = ref 0 in
-  let cells_scrambled = ref 0 in
-  let first_scramble_round = ref None in
-
-  (* Replay support for corrupting fault models: the last payload
-     {e delivered} on each ordered link in any {e earlier} round, indexed
-     by [src_dense * 2k + dst_dense]. Updates are staged during a
-     delivery sweep and committed only after it, so a replay mutation can
-     never echo bytes from the round currently being delivered. Gated on
-     physical inequality with [no_corrupt]: fault-free runs pay nothing
-     (no per-frame string materialization, no staging). *)
-  let track_prev = cfg.faults.corrupt != no_corrupt in
-  let prev_frames : payload option array =
-    if track_prev then Array.make (4 * k * k) None else [||]
-  in
-  let staged_prev : (int * payload) list ref = ref [] in
-  let commit_prev () =
-    List.iter (fun (i, p) -> prev_frames.(i) <- Some p) (List.rev !staged_prev);
-    staged_prev := []
-  in
 
   (* Runs [f ()] as [cell]'s fiber until it blocks on [Next_round],
      returns, or raises. *)
@@ -519,74 +277,24 @@ let run cfg ~programs =
             | Send (dst, data) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  incr messages_sent;
-                  let len = String.length data in
-                  bytes_sent := !bytes_sent + len;
-                  let ob = cell.outbox in
-                  (* [Engine.broadcast] sends one string to many targets
-                     back to back: physical equality with the last
-                     appended string means the bytes are already in the
-                     arena — share the span. *)
-                  if data == ob.last_data && len > 0 then
-                    outbox_record ob dst ~off:ob.last_off ~len
-                  else begin
-                    let off = Wire.Enc.length ob.arena in
-                    Wire.Enc.append ob.arena data;
-                    ob.last_data <- data;
-                    ob.last_off <- off;
-                    outbox_record ob dst ~off ~len
-                  end;
+                  Round.send cell.outbox dst data;
                   continue cont ())
             | Send_w (c, dst, v) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  let arena = cell.outbox.arena in
-                  let start = Wire.Enc.length arena in
-                  match c.Wire.write arena v with
-                  | () ->
-                    incr messages_sent;
-                    let len = Wire.Enc.length arena - start in
-                    bytes_sent := !bytes_sent + len;
-                    outbox_record cell.outbox dst ~off:start ~len;
-                    continue cont ()
-                  | exception exn ->
-                    (* A codec that raises mid-write must not leave half a
-                       frame in the shared arena. *)
-                    Wire.Enc.truncate arena start;
-                    discontinue cont exn)
+                  match Round.send_w cell.outbox c dst v with
+                  | () -> continue cont ()
+                  | exception exn -> discontinue cont exn)
             | Send_multi_w (c, dsts, v) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  (* One in-place encode, one span, many targets: the
-                     relay/broadcast fan-out pattern without re-walking
-                     the codec or duplicating the bytes per recipient. *)
-                  let arena = cell.outbox.arena in
-                  let start = Wire.Enc.length arena in
-                  match c.Wire.write arena v with
-                  | () ->
-                    let len = Wire.Enc.length arena - start in
-                    if dsts = [] then Wire.Enc.truncate arena start
-                    else
-                      List.iter
-                        (fun dst ->
-                          incr messages_sent;
-                          bytes_sent := !bytes_sent + len;
-                          outbox_record cell.outbox dst ~off:start ~len)
-                        dsts;
-                    continue cont ()
-                  | exception exn ->
-                    Wire.Enc.truncate arena start;
-                    discontinue cont exn)
+                  match Round.send_multi_w cell.outbox c dsts v with
+                  | () -> continue cont ()
+                  | exception exn -> discontinue cont exn)
             | Send_slice (dst, s) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  incr messages_sent;
-                  let len = Wire.Slice.length s in
-                  bytes_sent := !bytes_sent + len;
-                  let off = Wire.Enc.length cell.outbox.arena in
-                  Wire.Enc.append_sub cell.outbox.arena s.Wire.Slice.base
-                    ~off:s.Wire.Slice.off ~len:s.Wire.Slice.len;
-                  outbox_record cell.outbox dst ~off ~len;
+                  Round.send_slice cell.outbox dst s;
                   continue cont ())
             | Next_round ->
               Some
@@ -634,116 +342,10 @@ let run cfg ~programs =
       let program = programs cell.id in
       drive cell (fun () -> program (env_of cell.id)));
 
-  (* Deliver this round's traffic: freeze each sender's arena into one
-     immutable base string and fan its [(offset, len)] spans out to the
-     recipients' span vectors — one pass per sender, zero copies on the
-     clean path. Drop precedence is unchanged: topology > fault-drop >
-     corrupt. *)
+  (* Deliver this round's traffic: every sender's outbox through the
+     shared router, senders in roster order. *)
   let deliver () =
-    iter_cells (fun cell ->
-        let ob = cell.outbox in
-        if ob.out_len > 0 then begin
-          let src = cell.id in
-          let src_dense = Party_id.to_dense ~k src in
-          let base = Wire.Enc.to_string ob.arena in
-          for i = 0 to ob.out_len - 1 do
-            let off = ob.out_offs.(i) in
-            let len = ob.out_lens.(i) in
-            let dst = ob.out_dsts.(i) in
-            let dst_index = Party_id.index dst in
-            if dst_index < 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "Engine.deliver_message: destination %s has a negative index \
-                    (corrupt Party_id)"
-                   (Party_id.to_string dst));
-            if dst_index >= k || not (connected src dst) then begin
-              incr dropped_topology;
-              record src dst len `No_channel;
-              Log.debug (fun m ->
-                  m "r%d: dropped %a -> %a (no channel)" !round Party_id.pp src
-                    Party_id.pp dst)
-            end
-            else if cfg.faults.drop ~round:!round ~src ~dst then begin
-              incr dropped_fault;
-              let label = cfg.faults.drop_label ~round:!round ~src ~dst in
-              (match label with
-              | Some l -> count_label l
-              | None -> ());
-              record ~label src dst len `Omitted
-            end
-            else begin
-              let target = cell_of dst in
-              if track_prev then begin
-                (* The corrupt hook and its replay memory are string-based:
-                   materialize a span-local copy so mutations never alias
-                   the shared arena, and deliver whatever the hook returns
-                   (bytes and replay memory both reflect the mutated
-                   frame). *)
-                let link_idx = (src_dense * 2 * k) + Party_id.to_dense ~k dst in
-                let data = String.sub base off len in
-                match
-                  cfg.faults.corrupt ~round:!round ~src ~dst
-                    ~prev:prev_frames.(link_idx) data
-                with
-                | None ->
-                  incr messages_delivered;
-                  bytes_delivered := !bytes_delivered + len;
-                  record src dst len `Delivered;
-                  staged_prev := (link_idx, data) :: !staged_prev;
-                  inbox_push target.inbox ~src_dense ~base ~off ~len
-                | Some (data', l) ->
-                  incr messages_corrupted;
-                  count_label l;
-                  let len' = String.length data' in
-                  incr messages_delivered;
-                  bytes_delivered := !bytes_delivered + len';
-                  record ~label:(Some l) src dst len' `Corrupted;
-                  staged_prev := (link_idx, data') :: !staged_prev;
-                  inbox_push target.inbox ~src_dense ~base:data' ~off:0 ~len:len'
-              end
-              else begin
-                incr messages_delivered;
-                bytes_delivered := !bytes_delivered + len;
-                record src dst len `Delivered;
-                inbox_push target.inbox ~src_dense ~base ~off ~len
-              end
-            end
-          done;
-          (* Reset keeps the encoder's storage for next round; the frozen
-             base string is owned by the delivered spans alone. *)
-          Wire.Enc.reset ob.arena;
-          ob.out_len <- 0;
-          ob.last_data <- "";
-          ob.last_off <- 0
-        end);
-    if track_prev then commit_prev ()
-  in
-
-  (* Collect [cell]'s span vector into the inbox list the fiber sees.
-     The vector was appended in sender-dense order with send order
-     preserved per sender (the delivery sweep walks sender cells in
-     roster order), so the list is exactly the old sorted-by-sender
-     inbox — by construction, no sort. *)
-  let collect_inbox cell =
-    let ib = cell.inbox in
-    if ib.in_count = 0 then []
-    else begin
-      let acc = ref [] in
-      for i = ib.in_count - 1 downto 0 do
-        acc :=
-          {
-            src = roster_arr.(ib.in_src.(i));
-            data = Wire.Slice.make ib.in_base.(i) ~off:ib.in_off.(i) ~len:ib.in_len.(i);
-          }
-          :: !acc
-      done;
-      (* Drop the base-string references so arenas from this round are
-         not retained past it by the reused vector. *)
-      Array.fill ib.in_base 0 ib.in_count "";
-      ib.in_count <- 0;
-      !acc
-    end
+    iter_cells (fun cell -> Round.route plane ~round:!round ~src:cell.id cell.outbox)
   in
 
   let some_waiting () =
@@ -755,44 +357,29 @@ let run cfg ~programs =
       cells
   in
 
-  (* State scrambling runs between rounds — after the previous round's
-     delivery sweep, before any fiber resumes — against parties still in
-     the protocol, so a corrupted cell is exactly "the value the party
-     wakes up with". Gated on physical inequality like [track_prev]:
-     scramble-free runs never touch the registries. *)
-  let track_scramble = cfg.faults.scramble != no_scramble in
-  let scramble_round () =
-    if track_scramble then
-      iter_cells (fun cell ->
-          match cell.state with
-          | Waiting _ ->
-            scramble_cells ~scramble:cfg.faults.scramble ~round:!round
-              ~party:cell.id (List.rev cell.scells)
-              ~on_scrambled:(fun ~bytes ~label ->
-                incr cells_scrambled;
-                if !first_scramble_round = None then
-                  first_scramble_round := Some !round;
-                count_label label;
-                record ~label:(Some label) cell.id cell.id (String.length bytes)
-                  `Scrambled)
-          | Finished | Failed _ -> ())
-  in
-
   while some_waiting () && !round < cfg.max_rounds do
     deliver ();
     incr round;
-    scramble_round ();
-    iter_cells
-      (fun cell ->
+    (* State scrambling runs between rounds — after the previous round's
+       delivery sweep, before any fiber resumes — against parties still
+       in the protocol, so a corrupted cell is exactly "the value the
+       party wakes up with". *)
+    iter_cells (fun cell ->
+        match cell.state with
+        | Waiting _ -> Round.scramble plane ~round:!round ~party:cell.id cell.scells
+        | Finished | Failed _ -> ());
+    Array.iteri
+      (fun d cell ->
         match cell.state with
         | Waiting cont ->
-          let inbox = collect_inbox cell in
+          let inbox = Round.collect plane d in
           (* Resuming re-enters the deep handler installed by [drive], which
              updates [cell.state] on park / return / raise; pre-set Finished
              for the plain-return path before any effect fires. *)
           cell.state <- Finished;
           Effect.Deep.continue cont inbox
         | Finished | Failed _ -> ())
+      cells
   done;
   (* Flush messages sent in the final round so accounting covers them even
      though no fiber is left to read them. [round] was last incremented
@@ -820,23 +407,7 @@ let run cfg ~programs =
   {
     parties = List.map party_result (Array.to_list cells);
     trace = trace_events tlog;
-    metrics =
-      {
-        rounds_used = !round;
-        messages_sent = !messages_sent;
-        messages_delivered = !messages_delivered;
-        messages_dropped_topology = !dropped_topology;
-        messages_dropped_fault = !dropped_fault;
-        messages_corrupted = !messages_corrupted;
-        messages_dropped_by_label =
-          List.sort
-            (fun (a, _) (b, _) -> String.compare a b)
-            (List.map (fun (l, r) -> l, !r) !dropped_by_label);
-        bytes_sent = !bytes_sent;
-        bytes_delivered = !bytes_delivered;
-        cells_scrambled = !cells_scrambled;
-        first_scramble_round = !first_scramble_round;
-      };
+    metrics = Round.metrics ~rounds_used:!round [ plane ];
   }
 
 let find_result_opt res p =

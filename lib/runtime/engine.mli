@@ -15,7 +15,9 @@
     pseudocode: [send] queues messages for the current round and
     [next_round] ends the round, returning the new round's inbox. Byzantine
     parties are simply fibers running arbitrary programs. Execution is
-    deterministic.
+    deterministic. The round's message plane — outboxes, the fate of
+    every frame, replay memory, state scrambles, the metrics tally — is
+    {!Round}, which the live executor drives too.
 
     Concurrency: [run] touches no global mutable state — every counter,
     fiber, inbox and trace lives in the call's own frame, and effect
@@ -29,13 +31,13 @@
 open Bsm_prelude
 
 (** Raw message bytes; protocols serialize with {!Bsm_wire.Wire}. *)
-type payload = string
+type payload = Round.payload
 
 (** An inbox frame: a zero-copy [(offset, len)] view into the sender's
     frozen per-round frame arena. Decode directly with
     {!Bsm_wire.Wire.decode_slice}; [Wire.Slice.to_string] materializes
     when bytes must outlive the view's backing. *)
-type envelope = {
+type envelope = Round.envelope = {
   src : Party_id.t;
   data : Bsm_wire.Wire.Slice.t;
 }
@@ -47,7 +49,7 @@ type envelope = {
     untouched) when they are not a well-formed encoding. Build one with
     {!state_cell}, or hand-roll the closures for state that has no single
     codec. *)
-type state_cell = {
+type state_cell = Round.state_cell = {
   cell_encode : unit -> payload;
   cell_set : payload -> bool;
 }
@@ -114,13 +116,9 @@ type env = {
           session). *)
 }
 
-(** [broadcast env targets msg] sends [msg] to every party in [targets]
-    (not to [env.self] even if listed). *)
-val broadcast : env -> Party_id.t list -> payload -> unit
-
-(** [broadcast_w env codec targets v] is {!broadcast} through
-    {!type-env.send_w}: one in-place arena encode per target, no
-    intermediate string. *)
+(** [broadcast_w env codec targets v] sends [v] to every party in
+    [targets] except [env.self], through {!type-env.send_multi_w}: one
+    in-place arena encode, one span shared by every target. *)
 val broadcast_w : env -> 'a Bsm_wire.Wire.t -> Party_id.t list -> 'a -> unit
 
 (** A party's program. Returning terminates the party; a party that never
@@ -130,11 +128,11 @@ type program = env -> unit
 (** Communication graph: one of the paper's topologies, or an arbitrary
     symmetric edge relation (used by the covering-system attacks, which run
     protocols on non-standard networks). *)
-type link =
+type link = Round.link =
   | Of_topology of Bsm_topology.Topology.t
   | Custom of (Party_id.t -> Party_id.t -> bool)
 
-type fault_model = {
+type fault_model = Round.fault_model = {
   drop : round:int -> src:Party_id.t -> dst:Party_id.t -> bool;
       (** [drop] is consulted for every message on an {e existing}
           channel; [true] omits it. Models the omission failures of
@@ -241,26 +239,6 @@ val no_faults : fault_model
     {!type-fault_model.scramble}. *)
 val max_scramble_attempts : int
 
-(** [scramble_cells ~scramble ~round ~party cells ~on_scrambled] is the
-    one scramble sweep, exported so the {!Bsm_serve} Live executor runs
-    literally the same loop as the engine (seq == par bit-identity):
-    for each cell in order, consult [scramble] and retry until a mutation
-    decodes or the attempt budget runs out; [on_scrambled] fires once per
-    cell actually replaced, with the winning bytes and component label. *)
-val scramble_cells :
-  scramble:
-    (round:int ->
-    party:Party_id.t ->
-    cell:int ->
-    attempt:int ->
-    payload ->
-    (payload * string) option) ->
-  round:int ->
-  party:Party_id.t ->
-  state_cell list ->
-  on_scrambled:(bytes:payload -> label:string -> unit) ->
-  unit
-
 (** One message-level event, for execution traces. *)
 type event = {
   event_round : int;
@@ -312,7 +290,7 @@ type party_result = {
           off this. *)
 }
 
-type metrics = {
+type metrics = Round.metrics = {
   rounds_used : int;
   messages_sent : int;  (** send calls *)
   messages_delivered : int;

@@ -1,7 +1,6 @@
 open Bsm_prelude
 module Engine = Bsm_runtime.Engine
-module Wire = Bsm_wire.Wire
-module Topology = Bsm_topology.Topology
+module Round = Bsm_runtime.Round
 
 (* Two-phase lockstep: phase one ends the round's sends (after it, every
    ring holds exactly the round's frames), phase two ends its deliveries
@@ -38,201 +37,72 @@ let await b =
 
 exception Out_of_rounds_
 
-(* Rings carry one span batch per (src, dst) channel per round: the
-   sender accumulates the round's frames contiguously in a per-channel
-   arena and pushes a single frozen (base, ends) element at round end,
-   so ring traffic is O(channels) per round instead of O(messages) and
-   the receiver hands out zero-copy [(offset, len)] views. [ends.(j)]
-   is where frame [j] ends; frame [j] starts at [ends.(j-1)] (0 for
-   [j = 0]). *)
-type batch = {
-  base : string;
-  ends : int array;
-  count : int;
-}
+(* A channel's ring carries one element per round: the envelopes the
+   sender's router delivered down that channel. It is pushed before
+   phase one and drained before phase two — the final flush of a
+   stopping party included — so it never holds more than one. *)
+let ring_capacity = 1
 
-(* Sender-side accumulator for one channel's current round. *)
-type accum = {
-  buf : Buffer.t;
-  mutable acc_ends : int array;
-  mutable acc_count : int;
-}
-
-let accum () = { buf = Buffer.create 64; acc_ends = [||]; acc_count = 0 }
-
-let accum_push a data =
-  Buffer.add_string a.buf data;
-  let cap = Array.length a.acc_ends in
-  if a.acc_count = cap then begin
-    let ends' = Array.make (max 8 (2 * cap)) 0 in
-    Array.blit a.acc_ends 0 ends' 0 a.acc_count;
-    a.acc_ends <- ends'
-  end;
-  a.acc_ends.(a.acc_count) <- Buffer.length a.buf;
-  a.acc_count <- a.acc_count + 1
-
-let accum_flush a ring =
-  if a.acc_count > 0 then begin
-    let b =
-      {
-        base = Buffer.contents a.buf;
-        ends = Array.sub a.acc_ends 0 a.acc_count;
-        count = a.acc_count;
-      }
-    in
-    Buffer.clear a.buf;
-    a.acc_count <- 0;
-    if not (Ring.try_push ring b) then
-      failwith "Live: per-channel ring overflow (raise ring_capacity)"
-  end
-
-let drain ring =
-  let rec go acc =
-    match Ring.try_pop ring with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let run ?(max_rounds = 10_000) ?(faults = Engine.no_faults) ?(ring_capacity = 1024)
-    ~k ~link ~programs () =
+let run ?(max_rounds = 10_000) ?(faults = Engine.no_faults) ~k ~link ~programs () =
   if k < 1 then invalid_arg "Live.run: k < 1";
   let n = 2 * k in
   if n > 64 then invalid_arg "Live.run: one domain per party; keep 2k <= 64";
   let roster = Array.of_list (Party_id.all ~k) in
-  let connected u v =
-    (not (Party_id.equal u v))
-    &&
-    match link with
-    | Engine.Of_topology t -> Topology.connected t u v
-    | Engine.Custom f -> f u v
-  in
   let rings =
     Array.init n (fun s ->
         Array.init n (fun d ->
-            if connected roster.(s) roster.(d) then
+            if Round.connected link roster.(s) roster.(d) then
               Some (Ring.create ~capacity:ring_capacity ())
             else None))
   in
-  let track_prev = faults.Engine.corrupt != Engine.no_corrupt in
-  let track_scramble = faults.Engine.scramble != Engine.no_scramble in
   let b1 = barrier n and b2 = barrier n in
   let finished = Atomic.make 0 in
   let worker i =
     let self = roster.(i) in
     let round = ref 0 in
     let out = ref None in
-    (* Per-link replay memory for the corrupt hook: last payload
-       delivered (post-corruption) from each sender in a strictly
-       earlier round — the engine's [prev] semantics. Only maintained
-       when the hook is live, like the engine. *)
-    let prev = Array.make n None in
-    (* This worker's per-destination round arenas, created lazily on
-       first send down a channel. *)
-    let accums : accum option array = Array.make n None in
+    let outbox = Round.outbox () in
+    (* This domain's router: it routes only this party's frames, so it
+       owns the replay memory of the links out of [self] and a tally of
+       this party's traffic. *)
+    let plane = Round.create ~k ~link ~faults () in
     (* This party's corruptible state registry, reverse registration
-       order — the engine's [cell.scells] discipline. Only this domain
-       ever touches it (registration and scrambling both happen on the
-       owner's fiber), so no synchronization is needed. *)
+       order. Only this domain ever touches it (registration and
+       scrambling both happen on the owner's fiber). *)
     let scells : Engine.state_cell list ref = ref [] in
-    let send dst data =
-      if Party_id.index dst >= k then () (* outside the roster: no channel *)
-      else
-        let d = Party_id.to_dense ~k dst in
-        match rings.(i).(d) with
-        | None -> () (* topology drop *)
-        | Some _ ->
-          let a =
-            match accums.(d) with
-            | Some a -> a
-            | None ->
-              let a = accum () in
-              accums.(d) <- Some a;
-              a
-          in
-          accum_push a data
-    in
-    let send_w c dst v = send dst (Wire.encode c v) in
-    let send_slice dst s = send dst (Wire.Slice.to_string s) in
-    (* Per-destination accumulators can't share one span, but the encode
-       still happens only once. *)
-    let send_multi_w c dsts v =
-      let body = Wire.encode c v in
-      List.iter (fun dst -> send dst body) dsts
-    in
-    (* Freeze every non-empty accumulator into its ring — once per round
-       at [next_round], and once more when the program stops, so frames
+    (* Route the round's frames on the sender's domain and ship each
+       channel's delivered envelopes down its ring — once per round at
+       [next_round], and once more when the program stops, so frames
        sent before a return or crash are still delivered. *)
-    let flush_accums () =
-      for d = 0 to n - 1 do
-        match accums.(d) with
-        | Some a -> (
-          match rings.(i).(d) with
-          | Some ring -> accum_flush a ring
-          | None -> ())
-        | None -> ()
-      done
+    let flush () =
+      Round.route plane ~round:!round ~src:self outbox;
+      Array.iteri
+        (fun d ring ->
+          match ring, Round.collect plane d with
+          | _, [] | None, _ -> ()
+          | Some ring, batch ->
+            if not (Ring.try_push ring batch) then
+              failwith "Live: a channel ring holds one batch per round")
+        rings.(i)
     in
     let next_round () =
       if !round >= max_rounds then raise Out_of_rounds_;
-      flush_accums ();
+      flush ();
       await b1;
-      let r = !round in
       let inbox = ref [] in
       for s = n - 1 downto 0 do
         match rings.(s).(i) with
         | None -> ()
         | Some ring ->
-          let src = roster.(s) in
-          let last_delivered = ref None in
-          let delivered = ref [] in
-          List.iter
-            (fun b ->
-              let start = ref 0 in
-              for j = 0 to b.count - 1 do
-                let off = !start in
-                let len = b.ends.(j) - off in
-                start := b.ends.(j);
-                if not (faults.Engine.drop ~round:r ~src ~dst:self) then begin
-                  if track_prev then begin
-                    let data = String.sub b.base off len in
-                    match
-                      faults.Engine.corrupt ~round:r ~src ~dst:self ~prev:prev.(s)
-                        data
-                    with
-                    | None ->
-                      last_delivered := Some data;
-                      delivered :=
-                        { Engine.src; data = Wire.Slice.make b.base ~off ~len }
-                        :: !delivered
-                    | Some (data', _label) ->
-                      last_delivered := Some data';
-                      delivered :=
-                        { Engine.src; data = Wire.Slice.of_string data' }
-                        :: !delivered
-                  end
-                  else
-                    delivered :=
-                      { Engine.src; data = Wire.Slice.make b.base ~off ~len }
-                      :: !delivered
-                end
-              done)
-            (drain ring);
-          (match !last_delivered with
-          | Some data -> prev.(s) <- Some data
-          | None -> ());
-          inbox := List.rev_append !delivered !inbox
+          Option.iter (fun batch -> inbox := batch @ !inbox) (Ring.try_pop ring)
       done;
       await b2;
       incr round;
       (* Between-rounds state corruption, the engine's placement exactly:
-         after the previous round's deliveries committed, before this
-         party resumes in the new round. [Engine.scramble_cells] is the
-         same sweep the in-process engine runs, so live == engine stays
-         bit-identical; the hook is pure, and only this party's cells are
-         touched, so domains never race. *)
-      if track_scramble then
-        Engine.scramble_cells ~scramble:faults.Engine.scramble ~round:!round
-          ~party:self (List.rev !scells)
-          ~on_scrambled:(fun ~bytes:_ ~label:_ -> ());
+         after the previous round's deliveries, before this party resumes
+         in the new round. The hook is pure and only this party's cells
+         are touched, so domains never race. *)
+      Round.scramble plane ~round:!round ~party:self !scells;
       !inbox
     in
     let status =
@@ -242,10 +112,10 @@ let run ?(max_rounds = 10_000) ?(faults = Engine.no_faults) ?(ring_capacity = 10
             Engine.self;
             k;
             round = (fun () -> !round);
-            send;
-            send_w;
-            send_slice;
-            send_multi_w;
+            send = Round.send outbox;
+            send_w = (fun c dst v -> Round.send_w outbox c dst v);
+            send_slice = Round.send_slice outbox;
+            send_multi_w = (fun c dsts v -> Round.send_multi_w outbox c dsts v);
             next_round;
             output = (fun p -> out := Some p);
             log = ignore;
@@ -266,7 +136,7 @@ let run ?(max_rounds = 10_000) ?(faults = Engine.no_faults) ?(ring_capacity = 10
     in
     (* Frames queued before the program stopped still belong to the
        round in flight. *)
-    flush_accums ();
+    flush ();
     (* Ghost: keep the lockstep alive (and this party's rings drained)
        until everyone finished or the round cap stops the world. *)
     Atomic.incr finished;
@@ -276,19 +146,36 @@ let run ?(max_rounds = 10_000) ?(faults = Engine.no_faults) ?(ring_capacity = 10
       if Atomic.get finished = n then live := false
       else begin
         for s = 0 to n - 1 do
-          match rings.(s).(i) with
-          | None -> ()
-          | Some ring ->
-            while Ring.try_pop ring <> None do
-              ()
-            done
+          Option.iter (fun ring -> ignore (Ring.try_pop ring)) rings.(s).(i)
         done;
         await b2;
         incr round;
         if !round >= max_rounds then live := false
       end
     done;
-    { Engine.id = self; status; out = !out; finished_round }
+    { Engine.id = self; status; out = !out; finished_round }, !round, plane
   in
   let domains = Array.init n (fun i -> Domain.spawn (fun () -> worker i)) in
-  Array.to_list (Array.map Domain.join domains)
+  let results = Array.to_list (Array.map Domain.join domains) in
+  {
+    Engine.parties = List.map (fun (p, _, _) -> p) results;
+    metrics =
+      (* The lockstep stops every domain in the same round. *)
+      Round.metrics
+        ~rounds_used:(List.fold_left (fun acc (_, r, _) -> max acc r) 0 results)
+        (List.map (fun (_, _, plane) -> plane) results);
+    trace = [];
+  }
+
+let check ?max_rounds ?faults ~k ~link ~programs () =
+  let engine = Engine.run (Engine.config ?max_rounds ?faults ~k ~link ()) ~programs in
+  let live = run ?max_rounds ?faults ~k ~link ~programs () in
+  if live = engine then Ok live
+  else
+    Error
+      (match
+         List.find_opt (fun (e, l) -> e <> l) (List.combine engine.parties live.parties)
+       with
+      | Some ((e : Engine.party_result), _) ->
+        Format.asprintf "%a: party result differs" Party_id.pp e.id
+      | None -> "metrics differ")

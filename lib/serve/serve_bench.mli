@@ -72,9 +72,10 @@ val write_json : path:string -> string -> unit
 val pp_results : Format.formatter -> results -> unit
 
 (** [live_check ~k ~seed] — run fault-free distributed Gale–Shapley
-    once through {!Live} (one domain per party, ring channels) and once
-    through the engine, and compare every party's output bytes and
-    status. [Ok matching_size] on agreement, [Error] describing the
-    first divergence. The seq==live determinism gate [bsm load
-    --live-check] and the tests call. *)
+    through {!Live.check}: once live (one domain per party, ring
+    channels), once through the engine, comparing whole results —
+    every party's status, output and finish round, and the metrics.
+    [Ok k] on agreement, [Error] describing the divergence. The
+    seq==live determinism gate [bsm load --live-check] and the tests
+    call. *)
 val live_check : k:int -> seed:int -> (int, string) result

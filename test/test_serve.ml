@@ -188,13 +188,26 @@ let test_live_equals_engine () =
 
 let test_live_equals_engine_under_faults () =
   (* Same programs, same compiled fault schedule — omissions and
-     in-flight corruption — through both executors; statuses and
-     outputs must agree bit-for-bit. *)
+     in-flight corruption, bit flips and replays of the per-link [prev]
+     memory — through both executors on both topologies; whole results,
+     parties and metrics, must agree. Distributed GS sends a handful of
+     frames at k = 2; the authenticated bSM protocol at t = 1/1 sends
+     enough on each link for replays to fire; [flood] sends to every
+     roster party, itself and non-neighbours included, and returns right
+     after its last sends, so topology drops and the final round's
+     frames reach the metrics too. *)
   let k = 2 in
   let profile = SM.Profile.random (Rng.make 3) k in
-  let programs p =
-    Core.Distributed_gs.program ~input:(SM.Profile.prefs profile p) ~self:p
+  let input p = SM.Profile.prefs profile p in
+  let gs p = Core.Distributed_gs.program ~input:(input p) ~self:p in
+  let flood _ (env : Engine.env) =
+    for r = 0 to 3 do
+      if r > 0 then ignore (env.next_round ());
+      let msg = string_of_int r in
+      List.iter (fun q -> env.send q msg) (Party_id.all ~k)
+    done
   in
+  let pki = Bsm_crypto.Crypto.Pki.setup ~k ~seed:1 in
   let schedule =
     Schedule.all
       [
@@ -202,35 +215,46 @@ let test_live_equals_engine_under_faults () =
         Schedule.during ~from_round:1 ~until_round:3
           (Schedule.corrupt ~rate:0.5 ~kind:Bsm_chaos.Mutation.Bit_flip
              (Party_id.left 1));
+        Schedule.corrupt ~rate:0.5 ~kind:Bsm_chaos.Mutation.Replay (Party_id.right 1);
       ]
   in
   let faults = Schedule.compile ~seed:9 schedule in
-  let max_rounds = 40 in
-  let link = Engine.Of_topology Topology.Bipartite in
-  let engine =
-    (Engine.run (Engine.config ~k ~max_rounds ~faults ~link ()) ~programs)
-      .Engine.parties
-  in
-  let live = Serve.Live.run ~max_rounds ~faults ~k ~link ~programs () in
-  List.iter2
-    (fun (e : Engine.party_result) (l : Engine.party_result) ->
+  List.iter
+    (fun topology ->
+      let link = Engine.Of_topology topology in
+      let plan =
+        Core.Select.plan_exn
+          (Core.Setting.make_exn ~k ~topology ~auth:Core.Setting.Authenticated
+             ~t_left:1 ~t_right:1)
+      in
+      let bsm p = plan.Core.Select.program ~pki ~input:(input p) ~self:p in
+      let replays (r : Engine.result) =
+        List.fold_left
+          (fun acc (l, n) ->
+            if String.starts_with ~prefix:"corrupt(R1,replay" l then acc + n else acc)
+          0 r.metrics.messages_dropped_by_label
+      in
+      let replayed =
+        List.fold_left
+          (fun acc programs ->
+            match Serve.Live.check ~max_rounds:40 ~faults ~k ~link ~programs () with
+            | Ok r -> acc + replays r
+            | Error msg ->
+              Alcotest.failf "%a: live diverged from engine: %s" Topology.pp topology
+                msg)
+          0 [ gs; bsm; flood ]
+      in
       Alcotest.(check bool)
-        (Format.asprintf "id %a" Party_id.pp e.Engine.id)
-        true
-        (Party_id.equal e.Engine.id l.Engine.id);
-      Alcotest.(check bool)
-        (Format.asprintf "status %a" Party_id.pp e.Engine.id)
-        true (e.Engine.status = l.Engine.status);
-      Alcotest.(check (option string))
-        (Format.asprintf "output %a" Party_id.pp e.Engine.id)
-        e.Engine.out l.Engine.out)
-    engine live
+        (Format.asprintf "%a: replays delivered" Topology.pp topology)
+        true (replayed > 0))
+    [ Topology.Bipartite; Topology.One_sided ]
 
 let test_live_equals_engine_under_state_corruption () =
   (* Same programs, same compiled corrupt-state schedule through both
      executors: workers must register the same cells in the same order
-     and the between-rounds scramble must draw the same hashes, so
-     statuses, outputs and finish rounds agree bit-for-bit. *)
+     and the between-rounds scramble must draw the same hashes, so whole
+     results — statuses, outputs, finish rounds and the scramble
+     counters — agree. *)
   let k = 2 in
   let profile = SM.Profile.random (Rng.make 5) k in
   let programs p =
@@ -244,25 +268,18 @@ let test_live_equals_engine_under_state_corruption () =
       ]
   in
   let faults = Schedule.compile ~seed:4 schedule in
-  let max_rounds = 60 in
-  let link = Engine.Of_topology Topology.Bipartite in
-  let engine =
-    (Engine.run (Engine.config ~k ~max_rounds ~faults ~link ()) ~programs)
-      .Engine.parties
-  in
-  let live = Serve.Live.run ~max_rounds ~faults ~k ~link ~programs () in
-  List.iter2
-    (fun (e : Engine.party_result) (l : Engine.party_result) ->
-      Alcotest.(check bool)
-        (Format.asprintf "status %a" Party_id.pp e.Engine.id)
-        true (e.Engine.status = l.Engine.status);
-      Alcotest.(check (option string))
-        (Format.asprintf "output %a" Party_id.pp e.Engine.id)
-        e.Engine.out l.Engine.out;
-      Alcotest.(check (option int))
-        (Format.asprintf "finish round %a" Party_id.pp e.Engine.id)
-        e.Engine.finished_round l.Engine.finished_round)
-    engine live
+  List.iter
+    (fun topology ->
+      let link = Engine.Of_topology topology in
+      match Serve.Live.check ~max_rounds:60 ~faults ~k ~link ~programs () with
+      | Error msg ->
+        Alcotest.failf "%a: live diverged from engine: %s" Topology.pp topology msg
+      | Ok r ->
+        Alcotest.(check bool)
+          (Format.asprintf "%a: cells scrambled" Topology.pp topology)
+          true
+          (r.Engine.metrics.cells_scrambled > 0))
+    [ Topology.Bipartite; Topology.One_sided ]
 
 (* --- socket transport ---------------------------------------------------- *)
 

@@ -4,9 +4,8 @@
    Usage: bench_compare OLD.json NEW.json [--threshold PCT]
 
    Per table it compares the sequential wall clock — the one number
-   that is comparable across scheduler modes (fused vs barrier) and job
-   counts — and, when both files carry a "whole_run" block, the
-   whole-run parallel wall. T-scale files carry one record per
+   that is comparable across job counts — and the "whole_run" block's
+   parallel wall, which every sweeps file carries. T-scale files carry one record per
    "{\"row\": ..." marker instead; for those the Gale-Shapley wall
    (gs_ms) and the sequential verification wall (verify_sequential_ms)
    are compared per row. BENCH_serve.json carries one record per
@@ -24,8 +23,8 @@
 
    The container has no JSON library, so this is a minimal scanner over
    the bench writers' known layouts ("key": number pairs inside each
-   record). It tolerates the PR 3 schema (parallel_ms per table, no
-   whole_run), the fused schema, and the scale schema. *)
+   record). It reads the sweeps, scale, serve, plane and chaos
+   layouts. *)
 
 let read_file path =
   try
@@ -99,19 +98,13 @@ let scan s ~marker ~keys =
 type record = {
   table : string;
   sequential_ms : float option;
-  parallel_ms : float option;
 }
 
 let records s =
   List.map
     (fun (table, values) ->
-      {
-        table;
-        sequential_ms = List.assoc "sequential_ms" values;
-        parallel_ms = List.assoc "parallel_ms" values;
-      })
-    (scan s ~marker:"{\"table\": \""
-       ~keys:[ "sequential_ms"; "parallel_ms" ])
+      { table; sequential_ms = List.assoc "sequential_ms" values })
+    (scan s ~marker:"{\"table\": \"" ~keys:[ "sequential_ms" ])
 
 (* BENCH_scale.json rows: per-row Gale-Shapley and sequential
    verification walls. *)
@@ -135,9 +128,13 @@ let recovery_rows s =
   scan s ~marker:"{\"recovery_row\": \""
     ~keys:[ "max_rounds_to_recovery"; "mean_rounds_to_recovery" ]
 
-(* The whole_run block's parallel wall, if the file has one. *)
-let whole_run_parallel_ms s =
+(* The whole_run block's parallel wall. A sweeps file (one with table
+   records) without one is malformed; other files have none. *)
+let whole_run_parallel_ms path s ~tables =
   match find s 0 "\"whole_run\":" with
+  | None when tables ->
+    Printf.eprintf "bench_compare: %s: sweeps file without a whole_run block\n" path;
+    exit 2
   | None -> None
   | Some i ->
     let stop =
@@ -305,22 +302,14 @@ let () =
           Printf.printf "  %-40s (dropped from new run)\n" name)
       old_recovery
   end;
-  (match whole_run_parallel_ms old_s, whole_run_parallel_ms new_s with
+  (match
+     ( whole_run_parallel_ms old_path old_s ~tables:(olds <> []),
+       whole_run_parallel_ms new_path new_s ~tables:(news <> []) )
+   with
   | Some om, Some nm ->
     Printf.printf "whole-run parallel wall:\n";
     compare_ms "whole_run" om nm
-  | None, None
-    when old_rows <> [] || new_rows <> [] || old_serve <> [] || new_serve <> []
-         || old_plane <> [] || new_plane <> [] || old_recovery <> []
-         || new_recovery <> []
-    ->
-    (* Scale, serve, plane and chaos recovery files carry no whole_run
-       block; nothing to say. *)
-    ()
-  | _ ->
-    Printf.printf
-      "whole-run parallel wall: not compared (missing in one file — PR 3 \
-       baselines predate it)\n");
+  | _ -> ());
   if !regressions > 0 then begin
     Printf.eprintf "bench_compare: %d regression(s) beyond %.0f%%\n"
       !regressions !threshold;
