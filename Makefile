@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-compare chaos-quick fuzz-quick scale-quick serve-quick plane-quick smoke fmt ci clean
+.PHONY: all build test bench bench-quick bench-compare chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden smoke fmt ci clean
 
 all: build
 
@@ -64,6 +64,13 @@ scale-quick:
 serve-quick:
 	dune exec bin/main.exe -- load --instances 100 --jobs 2 --out /dev/null
 
+# Golden reports: `bsm run -v` for bipartite/unauth at k = 4, 8, 16 and
+# one-sided/unauth at k = 8, diffed byte for byte against
+# test/golden/*.txt. Pins the majority-proxy vote and general phase king
+# (both group through Util.group_by). About 2 s.
+golden:
+	dune build @golden
+
 # Fast tier-1 exercise of the domain pool: one small parallel sweep,
 # asserted bit-identical to its sequential run.
 smoke:
@@ -79,7 +86,7 @@ fmt:
 	  echo "ocamlformat not found; skipping format check"; \
 	fi
 
-ci: build test bench-quick chaos-quick fuzz-quick scale-quick serve-quick plane-quick fmt
+ci: build test bench-quick chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden fmt
 
 clean:
 	dune clean

@@ -15,13 +15,27 @@ let strict_majority ~equal ~total xs =
   | Some (x, c) when 2 * c > total -> Some x
   | Some _ | None -> None
 
-let dedup ~equal xs =
-  let keep seen x = if List.exists (equal x) seen then seen else x :: seen in
-  List.rev (List.fold_left keep [] xs)
+let group_by (type k) ~(key : _ -> k) ~equal_key xs =
+  let module Tbl = Hashtbl.Make (struct
+    type t = k
 
-let group_by ~key ~equal_key xs =
-  let keys = dedup ~equal:equal_key (List.map key xs) in
-  List.map (fun k -> k, List.filter (fun x -> equal_key (key x) k) xs) keys
+    let equal = equal_key
+    let hash = Hashtbl.hash
+  end) in
+  let groups = Tbl.create 16 in
+  (* Groups in reverse first-seen order, members of each in reverse. *)
+  let order = ref [] in
+  List.iter
+    (fun x ->
+      let k = key x in
+      match Tbl.find_opt groups k with
+      | Some members -> members := x :: !members
+      | None ->
+        let members = ref [ x ] in
+        Tbl.add groups k members;
+        order := (k, members) :: !order)
+    xs;
+  List.rev_map (fun (k, members) -> k, List.rev !members) !order
 
 let range a b = if a >= b then [] else List.init (b - a) (fun i -> a + i)
 

@@ -13,11 +13,15 @@ val count : equal:('a -> 'a -> bool) -> 'a -> 'a list -> int
     strictly more than [total / 2] times in [xs]. *)
 val strict_majority : equal:('a -> 'a -> bool) -> total:int -> 'a list -> 'a option
 
-(** [dedup ~equal xs] keeps the first occurrence of each value. *)
-val dedup : equal:('a -> 'a -> bool) -> 'a list -> 'a list
-
 (** [group_by ~key ~equal_key xs] groups consecutive-or-not elements by key,
-    preserving first-seen key order and element order within groups. *)
+    preserving first-seen key order and element order within groups.
+
+    One pass: [key] is called exactly once per element and groups are
+    found through a hash table, so the cost is O(n) calls to [key] plus
+    expected O(n) hashes and [equal_key] tests. Keys are hashed with
+    [Hashtbl.hash], so [equal_key] must agree with structural hashing:
+    keys it calls equal must have equal [Hashtbl.hash]. Structural
+    equalities such as [String.equal] and [Int.equal] qualify. *)
 val group_by : key:('a -> 'k) -> equal_key:('k -> 'k -> bool) -> 'a list -> ('k * 'a list) list
 
 (** [range a b] is [[a; a+1; ...; b-1]] ([[]] when [a >= b]). *)

@@ -882,6 +882,16 @@ let prop_phase_king_agreement_random =
       | [] -> false
       | (_, first) :: rest -> List.for_all (fun (_, o) -> o = first) rest)
 
+(* --- machine helpers ------------------------------------------------------ *)
+
+let test_first_per_sender () =
+  let l0 = Party_id.left 0 and r0 = Party_id.right 0 and l1 = Party_id.left 1 in
+  (* The last sender is a fresh id equal to [l0]: senders match by value. *)
+  let inbox = [ l0, "a"; r0, "b"; l0, "c"; l1, "d"; r0, "e"; l1, "f"; Party_id.left 0, "g" ] in
+  Alcotest.(check (list (pair string string))) "first per sender, inbox order"
+    [ "L0", "a"; "R0", "b"; "L1", "d" ]
+    (List.map (fun (p, m) -> Party_id.to_string p, m) (B.Machine.first_per_sender inbox))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -939,6 +949,8 @@ let () =
             test_gradecast_equivocating_sender_consistent;
           qcheck prop_gradecast_consistency_random;
         ] );
+      ( "machine",
+        [ Alcotest.test_case "first per sender" `Quick test_first_per_sender ] );
       ( "dolev-strong",
         [
           Alcotest.test_case "honest sender, t=n-1" `Quick test_dolev_strong_honest_sender;

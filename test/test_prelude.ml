@@ -189,7 +189,57 @@ let test_group_by_preserves_order () =
   let groups = Util.group_by ~key:(fun x -> x mod 2) ~equal_key:Int.equal [ 1; 2; 3; 4 ] in
   Alcotest.(check (list (pair int (list int)))) "keyed in first-seen order"
     [ 1, [ 1; 3 ]; 0, [ 2; 4 ] ]
-    groups
+    groups;
+  Alcotest.(check (list int)) "keys keep first occurrence" [ 3; 1; 2 ]
+    (List.map fst (Util.group_by ~key:Fun.id ~equal_key:Int.equal [ 3; 1; 3; 2; 1 ]))
+
+(* The list-quadratic grouping [Util.group_by] replaced: rescan the input
+   once per distinct key. Kept only as the oracle for the hashed version. *)
+let reference_group_by ~key ~equal_key xs =
+  let dedup xs =
+    let keep seen x = if List.exists (equal_key x) seen then seen else x :: seen in
+    List.rev (List.fold_left keep [] xs)
+  in
+  List.map (fun k -> k, List.filter (fun x -> equal_key (key x) k) xs) (dedup (List.map key xs))
+
+let test_group_by_matches_reference () =
+  let rng = Random.State.make [| 13 |] in
+  let random_list ~len ~range =
+    List.init len (fun i -> i, Random.State.int rng (max 1 range))
+  in
+  let shapes =
+    []
+    :: random_list ~len:1 ~range:5
+    :: List.init 40 (fun i -> i, 7) (* all equal *)
+    :: List.init 40 (fun i -> i, i) (* all distinct *)
+    :: List.init 200 (fun _ ->
+           let len = Random.State.int rng 60 in
+           random_list ~len ~range:(1 + Random.State.int rng (len + 1)))
+  in
+  let groups = Alcotest.(list (pair int (list (pair int int)))) in
+  let string_groups = Alcotest.(list (pair string (list (pair int int)))) in
+  List.iteri
+    (fun case xs ->
+      let name = Printf.sprintf "case %d (%d items)" case (List.length xs) in
+      let key (_, v) = v in
+      Alcotest.check groups (name ^ ", int keys")
+        (reference_group_by ~key ~equal_key:Int.equal xs)
+        (Util.group_by ~key ~equal_key:Int.equal xs);
+      (* Long, shared-prefix string keys, as the majority vote's encodings are. *)
+      let key (_, v) = String.make 24 'x' ^ string_of_int v in
+      Alcotest.check string_groups (name ^ ", string keys")
+        (reference_group_by ~key ~equal_key:String.equal xs)
+        (Util.group_by ~key ~equal_key:String.equal xs))
+    shapes
+
+let test_group_by_keys_once () =
+  let calls = ref 0 in
+  let key x =
+    incr calls;
+    x mod 3
+  in
+  ignore (Util.group_by ~key ~equal_key:Int.equal (List.init 30 Fun.id));
+  Alcotest.(check int) "one key call per element" 30 !calls
 
 let test_is_permutation () =
   Alcotest.(check bool) "valid" true (Util.is_permutation [ 2; 0; 1 ] ~n:3);
@@ -202,9 +252,7 @@ let test_cdiv () =
   Alcotest.(check int) "6/3" 2 (Util.cdiv 6 3);
   Alcotest.(check int) "1/3" 1 (Util.cdiv 1 3)
 
-let test_dedup_take_range () =
-  Alcotest.(check (list int)) "dedup keeps first" [ 3; 1; 2 ]
-    (Util.dedup ~equal:Int.equal [ 3; 1; 3; 2; 1 ]);
+let test_take_range () =
   Alcotest.(check (list int)) "take" [ 1; 2 ] (Util.take 2 [ 1; 2; 3 ]);
   Alcotest.(check (list int)) "take beyond" [ 1 ] (Util.take 5 [ 1 ]);
   Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Util.range 2 5);
@@ -378,9 +426,13 @@ let () =
           Alcotest.test_case "most common" `Quick test_most_common;
           Alcotest.test_case "strict majority" `Quick test_strict_majority;
           Alcotest.test_case "group by" `Quick test_group_by_preserves_order;
+          Alcotest.test_case "group by matches list reference" `Quick
+            test_group_by_matches_reference;
+          Alcotest.test_case "group by keys each element once" `Quick
+            test_group_by_keys_once;
           Alcotest.test_case "is permutation" `Quick test_is_permutation;
           Alcotest.test_case "ceiling division" `Quick test_cdiv;
-          Alcotest.test_case "dedup/take/range" `Quick test_dedup_take_range;
+          Alcotest.test_case "take/range" `Quick test_take_range;
         ] );
       ( "rng",
         [
