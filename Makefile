@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-compare chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden smoke fmt ci clean
+.PHONY: all build test bench bench-quick bench-compare chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden baseline smoke fmt ci clean
 
 all: build
 
@@ -14,7 +14,7 @@ bench:
 
 # Smallest k per table, no microbenchmarks; writes
 # BENCH_sweeps.quick.json. Finishes in seconds — used by ci to keep the
-# sweep pipeline (engine, pool, GC accounting, JSON writer) exercised.
+# sweep pipeline (engine, pool, GC accounting, bench records) exercised.
 # Drains every table through the one fused task graph and asserts
 # whole-run parallel speedup >= 1.0 when both --jobs and the recommended
 # domain count are >= 2; on a single-core machine the check is skipped
@@ -22,9 +22,9 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Diff two BENCH_sweeps.json (or BENCH_scale.json) files: per-table
-# sequential wall (per-row gs/verify walls for scale files) plus the
-# whole-run parallel wall, failing on regressions beyond 20% (and 1 ms).
+# Diff two bench record files (any BENCH_*.json, or a baseline under
+# bench/baseline/): fails on any exact-field drift and on a measured
+# field (walls, GC words) grown by more than 20% and 1 unit.
 # Usage: make bench-compare OLD=baseline.json NEW=BENCH_sweeps.json
 bench-compare:
 	dune exec tools/bench_compare/bench_compare.exe -- $(OLD) $(NEW)
@@ -44,9 +44,8 @@ fuzz-quick:
 
 # Message-plane micro-bench: the three legs of the batched delivery
 # path (arena encode, engine delivery pass, zero-copy slice decode),
-# timed separately. Writes BENCH_plane.json; every field except the
-# *_ms walls is deterministic, and tools/bench_compare diffs two runs
-# under the usual 20% + 1 ms gate. Finishes in under a second.
+# timed separately. Writes BENCH_plane.json; the *_ms walls are measured
+# fields, the counters and fingerprint exact. Finishes in under a second.
 plane-quick:
 	dune exec bench/plane.exe
 
@@ -59,10 +58,9 @@ scale-quick:
 # Serving smoke: 100 instances through the daemon core over the
 # in-process ring transport (the real wire path: encode, admit,
 # schedule, execute, respond). Exits non-zero unless every instance
-# matches; writes nothing (BENCH_serve.json comes from `bsm load`
-# directly). Finishes in ~3 s.
+# matches; writes BENCH_serve.quick.json. Finishes in ~3 s.
 serve-quick:
-	dune exec bin/main.exe -- load --instances 100 --jobs 2 --out /dev/null
+	dune exec bin/main.exe -- load --instances 100 --jobs 2 --out BENCH_serve.quick.json
 
 # Golden reports: `bsm run -v` for bipartite/unauth at k = 4, 8, 16 and
 # one-sided/unauth at k = 8, diffed byte for byte against
@@ -70,6 +68,19 @@ serve-quick:
 # (both group through Util.group_by). About 2 s.
 golden:
 	dune build @golden
+
+# Counter gate: diff the fresh quick outputs against the committed
+# exact-only records in bench/baseline/. Fails on any drift of a
+# deterministic field (messages, bytes, rounds, proposals, fingerprints,
+# rounds-to-recovery); walls are not in the baseline, so never compared.
+# A deliberate change regenerates a baseline by emptying the measured
+# objects of the quick output, e.g. for scale:
+#   sed 's/"measured": {[^}]*}/"measured": {}/' BENCH_scale.quick.json > bench/baseline/scale.quick.json
+baseline: chaos-quick scale-quick serve-quick plane-quick
+	dune exec tools/bench_compare/bench_compare.exe -- bench/baseline/chaos.quick.json BENCH_chaos.quick.json
+	dune exec tools/bench_compare/bench_compare.exe -- bench/baseline/scale.quick.json BENCH_scale.quick.json
+	dune exec tools/bench_compare/bench_compare.exe -- bench/baseline/serve.quick.json BENCH_serve.quick.json
+	dune exec tools/bench_compare/bench_compare.exe -- bench/baseline/plane.quick.json BENCH_plane.json
 
 # Fast tier-1 exercise of the domain pool: one small parallel sweep,
 # asserted bit-identical to its sequential run.
@@ -86,7 +97,7 @@ fmt:
 	  echo "ocamlformat not found; skipping format check"; \
 	fi
 
-ci: build test bench-quick chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden fmt
+ci: build test bench-quick chaos-quick fuzz-quick scale-quick serve-quick plane-quick golden baseline fmt
 
 clean:
 	dune clean

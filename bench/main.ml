@@ -84,27 +84,6 @@ let sweep ~sched ~table ~k_range f cells =
     record (H.Sweep.Fused.stats handle);
     par
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_of_measurement prefix (m : H.Sweep.measurement) =
-  Printf.sprintf
-    "\"%s_minor_words\": %.0f, \"%s_major_words\": %.0f, \"%s_minor_gcs\": %d, \
-     \"%s_major_gcs\": %d"
-    prefix m.H.Sweep.minor_words prefix m.H.Sweep.major_words prefix
-    m.H.Sweep.minor_collections prefix m.H.Sweep.major_collections
-
 (* Total sequential wall across all recorded sweeps — the numerator of
    the whole-run speedup. *)
 let total_sequential_ms () =
@@ -112,53 +91,50 @@ let total_sequential_ms () =
     (fun acc r -> acc +. r.sweep_seq.H.Sweep.wall_ms)
     0. !sweep_records
 
-let write_sweeps_json ~jobs ~(fused_run : H.Sweep.Fused.run_stats) path =
-  let records = List.rev !sweep_records in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"jobs\": %d,\n  \"recommended_domains\": %d,\n  \"mode\": \"fused\",\n"
-       jobs
-       (Domain.recommended_domain_count ()));
-  (* The whole-run block is the number that actually reflects multicore
+let sweeps_records ~jobs ~(fused_run : H.Sweep.Fused.run_stats) =
+  let open H.Bench_record in
+  (* The whole-run row is the number that actually reflects multicore
      scaling: the single drain overlaps every table's cells. *)
-  let seq_total = total_sequential_ms () in
-  let par_total = fused_run.H.Sweep.Fused.wall_ms in
-  let whole_speedup = if par_total > 0. then seq_total /. par_total else 0. in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"whole_run\": {\"sequential_ms\": %.3f, \"parallel_ms\": %.3f, \
-        \"speedup\": %.3f, \"tasks\": %d, \"steals\": %d},\n"
-       seq_total par_total whole_speedup fused_run.H.Sweep.Fused.tasks
-       fused_run.H.Sweep.Fused.steals);
-  Buffer.add_string buf "  \"sweeps\": [\n";
-  List.iteri
-    (fun i r ->
-      let seq_ms = r.sweep_seq.H.Sweep.wall_ms in
-      let sep = if i = List.length records - 1 then "" else "," in
-      (* No per-table parallel wall exists — the drain is shared — so the
-         record carries per-task attribution instead: total task time
-         (≈ this table's CPU cost) and the straggler cell a per-table
-         barrier would have serialized behind. *)
-      let ts = r.sweep_par in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"table\": \"%s\", \"cells\": %d, \"k_range\": \"%s\", \
-            \"sequential_ms\": %.3f, \"fused_task_ms\": %.3f, \
-            \"fused_task_max_ms\": %.3f, \"fused_minor_words\": %.0f, \
-            \"fused_major_words\": %.0f,\n\
-           \     %s}%s\n"
-           (json_escape r.sweep_table) r.sweep_cells
-           (json_escape r.sweep_k_range) seq_ms
-           ts.H.Sweep.Fused.task_ms_total ts.H.Sweep.Fused.task_ms_max
-           ts.H.Sweep.Fused.minor_words ts.H.Sweep.Fused.major_words
-           (json_of_measurement "seq" r.sweep_seq) sep))
-    records;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let whole_run =
+    {
+      suite = "sweeps";
+      row = "whole_run";
+      exact = [ "tasks", Int fused_run.H.Sweep.Fused.tasks ];
+      measured =
+        [
+          "jobs", float_of_int jobs;
+          "recommended_domains", float_of_int (Domain.recommended_domain_count ());
+          "sequential_ms", total_sequential_ms ();
+          "parallel_ms", fused_run.H.Sweep.Fused.wall_ms;
+          "steals", float_of_int fused_run.H.Sweep.Fused.steals;
+        ];
+    }
+  in
+  (* No per-table parallel wall exists — the drain is shared — so each
+     table carries per-task attribution instead: total task time (≈ its
+     CPU cost) and the straggler cell a per-table barrier would have
+     serialized behind. *)
+  let table r =
+    let ts = r.sweep_par and m = r.sweep_seq in
+    {
+      suite = "sweeps";
+      row = r.sweep_table;
+      exact = [ "cells", Int r.sweep_cells; "k_range", Str r.sweep_k_range ];
+      measured =
+        [
+          "sequential_ms", m.H.Sweep.wall_ms;
+          "fused_task_ms", ts.H.Sweep.Fused.task_ms_total;
+          "fused_task_max_ms", ts.H.Sweep.Fused.task_ms_max;
+          "fused_minor_words", ts.H.Sweep.Fused.minor_words;
+          "fused_major_words", ts.H.Sweep.Fused.major_words;
+          "seq_minor_words", m.H.Sweep.minor_words;
+          "seq_major_words", m.H.Sweep.major_words;
+          "seq_minor_gcs", float_of_int m.H.Sweep.minor_collections;
+          "seq_major_gcs", float_of_int m.H.Sweep.major_collections;
+        ];
+    }
+  in
+  whole_run :: List.map table (List.rev !sweep_records)
 
 (* ------------------------------------------------------------------ T1 -- *)
 
@@ -647,9 +623,9 @@ let table_a4 ~sched () =
    come back `ok` — a VIOLATION is a protocol bug and fails the bench run
    (and hence `make ci`); mutated frames in particular must be absorbed
    as byzantine-equivalent noise, and scrambled state must be recovered
-   from (the C4 table times the recovery). The JSON report is
-   deterministic in the grid and chaos seeds (no wall-clock), so the same
-   seeds yield a bit-identical file. *)
+   from (the C4 table times the recovery). The records carry no
+   wall-clock: every field but [jobs] is exact in the grid and chaos
+   seeds. *)
 let table_chaos ~sched ~jobs () =
   let cells, k_range =
     if !quick then Chaos.Chaos_sweep.quick_grid (), "k=2"
@@ -747,9 +723,7 @@ let table_chaos ~sched ~jobs () =
     Table.print rtable
   end;
   let json_path = if !quick then "BENCH_chaos.quick.json" else "BENCH_chaos.json" in
-  let oc = open_out json_path in
-  output_string oc (Chaos.Chaos_sweep.to_json ~jobs outcomes);
-  close_out oc;
+  H.Bench_record.write ~path:json_path (Chaos.Chaos_sweep.records ~jobs outcomes);
   Printf.printf "wrote %s (%d cells; deterministic in the chaos seeds)\n\n"
     json_path total.Chaos.Chaos_sweep.cells;
   if total.Chaos.Chaos_sweep.violated > 0 then
@@ -814,7 +788,7 @@ let table_scale ~sched ~jobs () =
     let json_path =
       if !quick then "BENCH_scale.quick.json" else "BENCH_scale.json"
     in
-    H.Scale.write_json ~path:json_path ~jobs results;
+    H.Bench_record.write ~path:json_path (H.Scale.records ~jobs results);
     Printf.printf
       "wrote %s (%d rows; deterministic in (family, seed, k) except *_ms)\n\n"
       json_path (List.length results);
@@ -1045,7 +1019,7 @@ let () =
     let json_path =
       if !quick then "BENCH_sweeps.quick.json" else "BENCH_sweeps.json"
     in
-    write_sweeps_json ~jobs ~fused_run json_path;
+    H.Bench_record.write ~path:json_path (sweeps_records ~jobs ~fused_run);
     Printf.printf
       "wrote %s (%d sweeps with GC deltas; every parallel sweep verified \
        bit-identical to its sequential run)\n"

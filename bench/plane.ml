@@ -8,16 +8,16 @@
      round — the engine's own arena freeze + single delivery pass;
    - decode: [Wire.decode_slice] straight out of frozen arenas, no copy.
 
-   Writes BENCH_plane.json. Every field except the [*_ms] walls is
-   deterministic (counters and the fingerprint depend only on the
-   workload parameters), so diffs of the file are meaningful and
-   [tools/bench_compare] can gate the walls at 20% + 1 ms. *)
+   Writes BENCH_plane.json, one bench record per workload. The [*_ms]
+   walls are measured fields; the counters and the fingerprint depend
+   only on the workload parameters and are exact fields. *)
 
 open Bsm_prelude
 module Wire = Bsm_wire.Wire
 module Engine = Bsm_runtime.Engine
 module Topology = Bsm_topology.Topology
 module Sweep = Bsm_harness.Sweep
+module Bench_record = Bsm_harness.Bench_record
 
 type workload = {
   name : string;
@@ -157,24 +157,31 @@ let run_workload w =
     fingerprint;
   }
 
-let json_of_row r last =
+let record r =
   let m = r.metrics in
-  Printf.sprintf
-    "    {\"plane\": \"%s\", \"k\": %d, \"rounds\": %d, \"payload_bytes\": %d,\n\
-    \     \"encode_frames\": %d, \"encode_bytes\": %d,\n\
-    \     \"deliver_sent\": %d, \"deliver_delivered\": %d, \"bytes_sent\": %d, \
-     \"bytes_delivered\": %d,\n\
-    \     \"encode_ms\": %.3f, \"deliver_ms\": %.3f, \"decode_ms\": %.3f, \
-     \"fingerprint\": \"%Lx\"}%s\n"
-    r.w.name r.w.k r.w.rounds r.w.payload_bytes r.encode_frames r.encode_bytes
-    m.Engine.messages_sent m.Engine.messages_delivered m.Engine.bytes_sent
-    m.Engine.bytes_delivered r.encode_ms r.deliver_ms r.decode_ms r.fingerprint
-    (if last then "" else ",")
+  {
+    Bench_record.suite = "plane";
+    row = r.w.name;
+    exact =
+      [
+        "k", Int r.w.k;
+        "rounds", Int r.w.rounds;
+        "payload_bytes", Int r.w.payload_bytes;
+        "encode_frames", Int r.encode_frames;
+        "encode_bytes", Int r.encode_bytes;
+        "deliver_sent", Int m.Engine.messages_sent;
+        "deliver_delivered", Int m.Engine.messages_delivered;
+        "bytes_sent", Int m.Engine.bytes_sent;
+        "bytes_delivered", Int m.Engine.bytes_delivered;
+        "fingerprint", Str (Printf.sprintf "%Lx" r.fingerprint);
+      ];
+    measured =
+      [ "encode_ms", r.encode_ms; "deliver_ms", r.deliver_ms; "decode_ms", r.decode_ms ];
+  }
 
 let () =
   print_endline "message-plane micro-bench (encode / deliver / decode)";
   let rows = List.map run_workload workloads in
-  let n = List.length rows in
   List.iter
     (fun r ->
       let throughput ms frames =
@@ -189,10 +196,6 @@ let () =
         (throughput r.decode_ms r.encode_frames)
         r.fingerprint)
     rows;
-  let oc = open_out "BENCH_plane.json" in
-  output_string oc "{\n  \"workloads\": [\n";
-  List.iteri (fun i r -> output_string oc (json_of_row r (i = n - 1))) rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  Bench_record.write ~path:"BENCH_plane.json" (List.map record rows);
   Printf.printf
     "wrote BENCH_plane.json (all fields but the *_ms walls deterministic)\n"

@@ -534,7 +534,7 @@ let bench_cmd =
     let path =
       if quick then "BENCH_scale.quick.json" else "BENCH_scale.json"
     in
-    H.Scale.write_json ~path ~jobs results;
+    H.Bench_record.write ~path (H.Scale.records ~jobs results);
     Format.printf "wrote %s (%d job(s); seq==par shard identity checked)@." path
       jobs;
     if List.exists (fun (r : H.Scale.result) -> not r.stable) results then begin
@@ -1016,7 +1016,7 @@ let serve_cmd =
     Term.(const run $ socket_arg $ jobs $ queue $ batch $ max_k $ max_requests $ chaos)
 
 let load_cmd =
-  let run instances seed jobs queue batch k_min k_max mean_gap chaos wall out
+  let run instances seed jobs queue batch k_min k_max mean_gap chaos out
       live_check connect =
     let params =
       {
@@ -1082,8 +1082,7 @@ let load_cmd =
     | None ->
       let results = Serve.Serve_bench.run params in
       Format.printf "%a@." Serve.Serve_bench.pp_results results;
-      Serve.Serve_bench.write_json ~path:out
-        (Serve.Serve_bench.to_json ~wall results);
+      H.Bench_record.write ~path:out (Serve.Serve_bench.records results);
       Printf.printf "wrote %s\n" out;
       if chaos then begin
         if results.Serve.Serve_bench.violations > 0 then begin
@@ -1127,19 +1126,12 @@ let load_cmd =
             "Submit bSM workloads and run each under a within-budget fault \
              schedule; fails on any oracle violation.")
   in
-  let wall =
-    Arg.(
-      value & flag
-      & info [ "wall" ]
-          ~doc:
-            "Include wall-clock numbers in the JSON (breaks bit-identity \
-             across machines; tick fields stay deterministic).")
-  in
   let out =
     Arg.(
       value
       & opt string "BENCH_serve.json"
-      & info [ "out" ] ~doc:"Output JSON path.")
+      & info [ "out" ]
+          ~doc:"Output path for the bench records (one JSON object per line).")
   in
   let live_check =
     Arg.(
@@ -1164,7 +1156,7 @@ let load_cmd =
           schedule, ring (or socket) transport, BENCH_serve.json output.")
     Term.(
       const run $ instances $ seed_arg $ jobs $ queue $ batch $ k_min $ k_max
-      $ mean_gap $ chaos $ wall $ out $ live_check $ connect)
+      $ mean_gap $ chaos $ out $ live_check $ connect)
 
 let () =
   (* Socket writes to a vanished peer must surface as EPIPE errors the

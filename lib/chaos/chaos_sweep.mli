@@ -3,9 +3,8 @@
     {!Bsm_harness.Sweep} (each cell is pure given its seeds; results
     compare structurally because {!Oracle.report} holds no closures).
 
-    [to_json] renders a deterministic report — no wall-clock inside —
-    so the same grid and seeds produce a bit-identical
-    [BENCH_chaos.json], replayable and diffable across machines. *)
+    {!records} carries no wall-clock, so the same grid and seeds give the
+    same exact fields in [BENCH_chaos.json] on every machine. *)
 
 module Sweep := Bsm_harness.Sweep
 module Pool := Bsm_runtime.Pool
@@ -79,15 +78,13 @@ type recovery_row = {
     are. *)
 val recovery_grid : outcome list -> recovery_row list
 
-(** Deterministic JSON report (summary + one row per cell with verdict,
-    budget attribution, per-fate message counts, scrambled-cell counts
-    and recovery verdict, followed by the {!recovery_grid} as
-    [recovery_row]-marked rows). [jobs] is recorded for provenance only;
-    the summary carries the fused task count (one task per cell) but
-    deliberately no wall clocks or steal counts — those vary run to run
-    and belong to BENCH_sweeps.json, keeping this file bit-identical for
-    a given grid and seeds. *)
-val to_json : jobs:int -> outcome list -> string
+(** The grid as bench records: a ["summary"] row (cell and verdict
+    counts), one row per cell (verdict, budget attribution, per-fate
+    message counts, [dropped_by_label:<label>] counts, scrambled-cell
+    count and recovery verdict), then the {!recovery_grid} under suite
+    ["chaos.recovery"]. [jobs] is the one measured field; every other
+    field is exact, bit-identical for a given grid and seeds. *)
+val records : jobs:int -> outcome list -> Bsm_harness.Bench_record.t list
 
 (** The standard grids the bench, CLI and CI share: T-table settings
     (Theorems 2, 5, 6, 7 — including both Π_bSM regimes) × the schedule

@@ -185,40 +185,35 @@ let run_row ?pool (p : prepared) =
 
 let run ?pool mode = List.map (fun r -> run_row ?pool (prepare r)) (rows mode)
 
-let to_json ~jobs results =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    "  \"_comment\": \"T-scale bench: GS + sharded early-exit verification \
-     on implicit (Flat) instances. Deterministic in (family, seed, k): \
-     every field except *_ms. *_ms are wall-clock, environment-dependent.\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" shards);
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"row\": \"%s\", \"k\": %d, \"family\": \"%s\", \"seed\": %d, \
-            \"proposals\": %d, \"rounds\": %d, \"blocking_gs\": %d, \
-            \"stable\": %b, \"blocking_perturbed\": %d, \"eps_min\": %.3e, \
-            \"fingerprint\": \"%Lx\", \"gs_ms\": %.3f, \
-            \"verify_sequential_ms\": %.3f, \"verify_parallel_ms\": %.3f}%s\n"
-           (label r.row) r.row.k
-           (SM.Flat.family_to_string r.row.family)
-           r.row.seed r.stats.SM.Gale_shapley.proposals
-           r.stats.SM.Gale_shapley.rounds r.blocking_gs r.stable
-           r.blocking_perturbed r.eps_min r.fingerprint r.gs_ms r.verify_seq_ms
-           r.verify_par_ms
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path ~jobs results =
-  let oc = open_out path in
-  output_string oc (to_json ~jobs results);
-  close_out oc
+let records ~jobs results =
+  List.map
+    (fun r ->
+      {
+        Bench_record.suite = "scale";
+        row = label r.row;
+        exact =
+          [
+            "k", Int r.row.k;
+            "family", Str (SM.Flat.family_to_string r.row.family);
+            "seed", Int r.row.seed;
+            "shards", Int shards;
+            "proposals", Int r.stats.SM.Gale_shapley.proposals;
+            "rounds", Int r.stats.SM.Gale_shapley.rounds;
+            "blocking_gs", Int r.blocking_gs;
+            "stable", Str (string_of_bool r.stable);
+            "blocking_perturbed", Int r.blocking_perturbed;
+            "eps_min", Str (Printf.sprintf "%.3e" r.eps_min);
+            "fingerprint", Str (Printf.sprintf "%Lx" r.fingerprint);
+          ];
+        measured =
+          [
+            "jobs", float_of_int jobs;
+            "gs_ms", r.gs_ms;
+            "verify_sequential_ms", r.verify_seq_ms;
+            "verify_parallel_ms", r.verify_par_ms;
+          ];
+      })
+    results
 
 let pp_results ppf results =
   Format.fprintf ppf "%-22s %12s %9s %9s %11s %9s %11s %11s@."

@@ -95,10 +95,8 @@ val run_row : ?pool:Pool.t -> prepared -> result
 
 val run : ?pool:Pool.t -> mode -> result list
 
-(** Deterministic-schema JSON (see the in-file [_comment] for the
-    determinism scope); [tools/bench_compare] reads the
-    [verify_sequential_ms]/[gs_ms] of each ["row"] record. *)
-val to_json : jobs:int -> result list -> string
+(** One ["scale"] bench record per row: the [*_ms] walls and [jobs] are
+    measured, every other field is exact. *)
+val records : jobs:int -> result list -> Bench_record.t list
 
-val write_json : path:string -> jobs:int -> result list -> unit
 val pp_results : Format.formatter -> result list -> unit

@@ -255,45 +255,44 @@ let instances_per_sec r =
 
 let workload_name params = if params.chaos then "bsm-chaos" else "gs"
 
-let to_json ?(wall = false) r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    "  \"_comment\": \"serve bench: open-loop client driving the daemon over \
-     the in-process ring transport. Deterministic in (params): every field \
-     except the optional wall block is bit-identical across runs and job \
-     counts; latencies are scheduler ticks, not wall time.\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" r.params.jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" r.params.seed);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"workload\": \"%s\", \"instances\": %d, \"k_min\": %d, \"k_max\": \
-        %d, \"mean_gap\": %d, \"queue_capacity\": %d, \"batch\": %d, \
-        \"matched\": %d, \"failed\": %d, \"timed_out\": %d, \"violations\": %d, \
-        \"queue_rejects\": %d, \"ticks\": %d, \"p50_ticks\": %d, \"p99_ticks\": \
-        %d, \"max_ticks\": %d, \"request_bytes\": %d, \"response_bytes\": %d, \
-        \"fingerprint\": \"%Lx\"}\n"
-       (workload_name r.params) r.params.instances r.params.k_min r.params.k_max
-       r.params.mean_gap r.params.queue_capacity r.params.batch r.matched
-       r.failed r.timed_out r.violations r.queue_rejects r.ticks r.p50_ticks
-       r.p99_ticks r.max_ticks r.request_bytes r.response_bytes r.fingerprint);
-  Buffer.add_string buf "  ]";
-  if wall then
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"wall\": {\"wall_ms\": %.3f, \"instances_per_sec\": %.1f, \
-          \"p50_ms_est\": %.3f, \"p99_ms_est\": %.3f}"
-         r.wall_ms (instances_per_sec r)
-         (float_of_int r.p50_ticks *. r.wall_ms /. float_of_int (max 1 r.ticks))
-         (float_of_int r.p99_ticks *. r.wall_ms /. float_of_int (max 1 r.ticks)));
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
-
-let write_json ~path json =
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc
+let records r =
+  let p = r.params in
+  let est ticks = float_of_int ticks *. r.wall_ms /. float_of_int (max 1 r.ticks) in
+  [
+    {
+      Bsm_harness.Bench_record.suite = "serve";
+      row = workload_name p;
+      exact =
+        [
+          "seed", Int p.seed;
+          "instances", Int p.instances;
+          "k_min", Int p.k_min;
+          "k_max", Int p.k_max;
+          "mean_gap", Int p.mean_gap;
+          "queue_capacity", Int p.queue_capacity;
+          "batch", Int p.batch;
+          "matched", Int r.matched;
+          "failed", Int r.failed;
+          "timed_out", Int r.timed_out;
+          "violations", Int r.violations;
+          "queue_rejects", Int r.queue_rejects;
+          "ticks", Int r.ticks;
+          "p50_ticks", Int r.p50_ticks;
+          "p99_ticks", Int r.p99_ticks;
+          "max_ticks", Int r.max_ticks;
+          "request_bytes", Int r.request_bytes;
+          "response_bytes", Int r.response_bytes;
+          "fingerprint", Str (Printf.sprintf "%Lx" r.fingerprint);
+        ];
+      measured =
+        [
+          "jobs", float_of_int p.jobs;
+          "wall_ms", r.wall_ms;
+          "p50_ms_est", est r.p50_ticks;
+          "p99_ms_est", est r.p99_ticks;
+        ];
+    };
+  ]
 
 let pp_results ppf r =
   Format.fprintf ppf

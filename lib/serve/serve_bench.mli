@@ -11,12 +11,11 @@
     queueing delay under backpressure.
 
     Time is virtual (scheduler ticks), which is what makes the whole
-    run — and the default JSON — bit-identical across repetitions
-    {e and job counts}: executions are pure, [Pool.map] preserves
-    order, and the schedule depends only on [seed]. Wall-clock numbers
-    (instances/sec, millisecond latencies) are printed, and included in
-    the JSON only under [~wall:true], clearly fenced as
-    environment-dependent. *)
+    run — every exact field of its {!records} — bit-identical across
+    repetitions {e and job counts}: executions are pure, [Pool.map]
+    preserves order, and the schedule depends only on [seed]. Wall-clock
+    numbers (instances/sec, millisecond latencies) are printed, and
+    recorded as measured fields. *)
 
 type params = {
   instances : int;
@@ -51,7 +50,7 @@ type results = {
   fingerprint : int64;  (** digest of every Done response, in req order *)
   request_bytes : int;  (** encoded request traffic *)
   response_bytes : int;
-  wall_ms : float;  (** whole-run wall clock (not in default JSON) *)
+  wall_ms : float;  (** whole-run wall clock *)
 }
 
 (** [spec_of ~params i] — the deterministic i-th workload of the load
@@ -64,11 +63,11 @@ val run : params -> results
 (** Instances per wall second — the headline throughput number. *)
 val instances_per_sec : results -> float
 
-(** [to_json ?wall results] — deterministic by default; [~wall:true]
-    appends the environment-dependent wall block. *)
-val to_json : ?wall:bool -> results -> string
+(** The run as one ["serve"] bench record: the walls (whole run and the
+    tick-scaled latency estimates) and [jobs] are measured, every other
+    field is exact — bit-identical across runs and job counts. *)
+val records : results -> Bsm_harness.Bench_record.t list
 
-val write_json : path:string -> string -> unit
 val pp_results : Format.formatter -> results -> unit
 
 (** [live_check ~k ~seed] — run fault-free distributed Gale–Shapley

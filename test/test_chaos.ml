@@ -16,6 +16,7 @@ module Oracle = Bsm_chaos.Oracle
 module Shrink = Bsm_chaos.Shrink
 module Repro = Bsm_chaos.Repro
 module Chaos_sweep = Bsm_chaos.Chaos_sweep
+module BR = H.Bench_record
 
 let party_set = Alcotest.testable Party_set.pp Party_set.equal
 
@@ -687,6 +688,11 @@ let test_replay_gate_exit_codes () =
 
 (* --- chaos sweeps --------------------------------------------------------- *)
 
+let records = Chaos_sweep.records ~jobs:1
+
+let records_t =
+  Alcotest.(list (testable (fun ppf r -> Format.pp_print_string ppf (BR.to_line r)) ( = )))
+
 let test_quick_grid_par_equals_seq () =
   let cells = Chaos_sweep.quick_grid () in
   let seq = Chaos_sweep.run_cells cells in
@@ -694,8 +700,7 @@ let test_quick_grid_par_equals_seq () =
     Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells)
   in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par)
+  Alcotest.check records_t "same records" (records seq) (records par)
 
 let test_fused_submit_matches_run_cells () =
   (* The chaos grid submitted into a fused batch (one task per cell in
@@ -711,8 +716,7 @@ let test_fused_submit_matches_run_cells () =
         H.Sweep.Fused.results handle)
   in
   Alcotest.(check bool) "fused == sequential" true (seq = fused);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 fused)
+  Alcotest.check records_t "same records" (records seq) (records fused)
 
 let test_quick_grid_has_no_violations () =
   let outcomes = Chaos_sweep.run_cells (Chaos_sweep.quick_grid ()) in
@@ -725,15 +729,17 @@ let test_quick_grid_has_no_violations () =
     (s.Chaos_sweep.ok + s.Chaos_sweep.degraded + s.Chaos_sweep.violated)
 
 let test_json_deterministic () =
-  let run () =
-    Chaos_sweep.to_json ~jobs:1 (Chaos_sweep.run_cells (Chaos_sweep.quick_grid ()))
-  in
-  Alcotest.(check string) "same seeds, same bytes" (run ()) (run ())
+  let run () = records (Chaos_sweep.run_cells (Chaos_sweep.quick_grid ())) in
+  let rs = run () in
+  Alcotest.check records_t "same seeds, same records" rs (run ());
+  Alcotest.(check (result records_t string))
+    "records read back unchanged" (Ok rs)
+    (BR.of_string (String.concat "\n" (List.map BR.to_line rs)))
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let find_record rs ~suite p =
+  match List.find_opt (fun r -> r.BR.suite = suite && p r.BR.row) rs with
+  | Some r -> r
+  | None -> Alcotest.failf "no %s record" suite
 
 let test_json_pins_corruption_schema () =
   (* BENCH_chaos rows must carry the corrupted-frame count and fold the
@@ -748,12 +754,13 @@ let test_json_pins_corruption_schema () =
     "every corruption tallied under the component label"
     [ "corrupt(R0,bit-flip,100%)", m.Engine.messages_corrupted ]
     m.Engine.messages_dropped_by_label;
-  let json = Chaos_sweep.to_json ~jobs:1 outcomes in
-  Alcotest.(check bool) "corrupted_frames in json" true
-    (contains json
-       ~sub:(Printf.sprintf "\"corrupted_frames\": %d" m.Engine.messages_corrupted));
-  Alcotest.(check bool) "mutation label in json" true
-    (contains json ~sub:"\"corrupt(R0,bit-flip,100%)\"")
+  let run = find_record (records outcomes) ~suite:"chaos" (fun row -> row <> "summary") in
+  Alcotest.(check bool) "corrupted_frames in the record" true
+    (List.assoc_opt "corrupted_frames" run.BR.exact
+    = Some (BR.Int m.Engine.messages_corrupted));
+  Alcotest.(check bool) "mutation label in the record" true
+    (List.assoc_opt "dropped_by_label:corrupt(R0,bit-flip,100%)" run.BR.exact
+    = Some (BR.Int m.Engine.messages_corrupted))
 
 let test_mutation_sweep_par_equals_seq () =
   (* Mutation schedules go through the same seq==par bit-identity bar as
@@ -768,8 +775,7 @@ let test_mutation_sweep_par_equals_seq () =
   let seq = Chaos_sweep.run_cells cells in
   let par = Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells) in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par)
+  Alcotest.check records_t "same records" (records seq) (records par)
 
 let test_state_corruption_sweep_par_equals_seq () =
   (* The recovery grid's bar: corrupt-state schedules through the pool
@@ -790,8 +796,7 @@ let test_state_corruption_sweep_par_equals_seq () =
   let seq = Chaos_sweep.run_cells cells in
   let par = Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells) in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par);
+  Alcotest.check records_t "same records" (records seq) (records par);
   (* The grid must have exercised the oracle: at least one cell recovered. *)
   Alcotest.(check bool) "some cell recovered" true
     (List.exists
@@ -827,11 +832,20 @@ let test_recovery_grid_rows () =
   Alcotest.(check bool) "mean == max for one cell" true
     (Float.equal row.Chaos_sweep.rg_mean_rounds
        (float_of_int row.Chaos_sweep.rg_max_rounds));
-  let json = Chaos_sweep.to_json ~jobs:1 outcomes in
-  Alcotest.(check bool) "recovery_row marker in json" true
-    (contains json ~sub:"{\"recovery_row\": \"corrupt-state(R0@1,100%)#seed1\"");
-  Alcotest.(check bool) "per-run recovery field in json" true
-    (contains json ~sub:"\"recovery\": \"recovered:")
+  let rs = records outcomes in
+  let grid_row =
+    find_record rs ~suite:"chaos.recovery" (String.equal "corrupt-state(R0@1,100%)#seed1")
+  in
+  Alcotest.(check bool) "recovery row in the records" true
+    (List.assoc_opt "max_rounds_to_recovery" grid_row.BR.exact
+    = Some (BR.Int row.Chaos_sweep.rg_max_rounds));
+  Alcotest.(check bool) "per-run recovery field in the records" true
+    (List.exists
+       (fun r ->
+         match List.assoc_opt "recovery" r.BR.exact with
+         | Some (BR.Str v) -> String.starts_with ~prefix:"recovered:" v
+         | _ -> false)
+       rs)
 
 let test_grid_shape () =
   let cases =

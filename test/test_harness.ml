@@ -152,6 +152,129 @@ let test_violations_render () =
       Alcotest.(check bool) "non-empty rendering" true (String.length text > 0))
     violations
 
+
+(* --- bench records -------------------------------------------------------- *)
+
+module BR = H.Bench_record
+
+let record_t = Alcotest.testable (fun ppf r -> Format.pp_print_string ppf (BR.to_line r)) ( = )
+
+let lines rs = String.concat "\n" (List.map BR.to_line rs) ^ "\n"
+
+let tricky =
+  [
+    {
+      BR.suite = "chaos";
+      row = "quote \" backslash \\ newline \n tab \t bell \007 end";
+      exact =
+        [
+          "negative", BR.Int (-42);
+          "min_int", BR.Int min_int;
+          "label:Π_bSM ≠ \"x\"", BR.Str "Π_bSM → {R0} \001\031\127";
+          "empty", BR.Str "";
+        ];
+      measured = [ "neg_ms", -1.5; "tiny", 1e-300; "third", 1. /. 3.; "big", 1.2345e21 ];
+    };
+    { BR.suite = "Π_bSM"; row = ""; exact = []; measured = [] };
+    { BR.suite = "scale"; row = "k=1000 uniform"; exact = [ "k", BR.Int 1000 ]; measured = [ "jobs", 2. ] };
+  ]
+
+let test_record_round_trip () =
+  Alcotest.(check (result (list record_t) string)) "of_string . to_line" (Ok tricky)
+    (BR.of_string (lines tricky));
+  let path = Filename.temp_file "bench_record" ".json" in
+  BR.write ~path tricky;
+  let back = BR.read path in
+  Sys.remove path;
+  Alcotest.(check (result (list record_t) string)) "read . write" (Ok tricky) back;
+  Alcotest.(check (result (list record_t) string)) "blank lines skipped" (Ok tricky)
+    (BR.of_string ("\n" ^ String.concat "\n\n" (List.map BR.to_line tricky)));
+  Alcotest.(check bool) "non-finite measured values are left out" true
+    (BR.of_string (BR.to_line { BR.suite = "s"; row = "r"; exact = []; measured = [ "nan", Float.nan; "ok", 1. ] })
+    = Ok [ { BR.suite = "s"; row = "r"; exact = []; measured = [ "ok", 1. ] } ])
+
+let is_error_at line = function
+  | Error msg ->
+    let prefix = Printf.sprintf "line %d:" line in
+    String.length msg >= String.length prefix
+    && String.sub msg 0 (String.length prefix) = prefix
+  | Ok _ -> false
+
+let test_record_malformed () =
+  let good = BR.to_line (List.hd tricky) in
+  (* Every truncation of a valid line is an error on that line — never an
+     exception, never a silently shorter record. *)
+  for len = 1 to String.length good - 1 do
+    let r = BR.of_string (BR.to_line (List.nth tricky 2) ^ "\n" ^ String.sub good 0 len) in
+    if String.trim (String.sub good 0 len) <> "" && not (is_error_at 2 r) then
+      Alcotest.failf "truncation at %d not rejected on line 2" len
+  done;
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "rejects %S" bad) true
+        (is_error_at 1 (BR.of_string bad)))
+    [
+      "not json";
+      "{}";
+      "[]";
+      {|{"row": "r", "suite": "s", "exact": {}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {"x": 1.5}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {"x": true}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {"x": null}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {"x": 99999999999999999999999}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {}, "measured": {"x": "1"}}|};
+      {|{"suite": "s", "row": "r", "exact": {}, "measured": {"x": 1e999}}|};
+      {|{"suite": "s", "row": "r", "exact": {"x": 1, "x": 2}, "measured": {}}|};
+      {|{"suite": "s", "row": "r", "exact": {}, "measured": {}} trailing|};
+      {|{"suite": "s", "row": "r", "exact": {}, "measured": {}, "extra": 1}|};
+      {|{"suite": "s\q", "row": "r", "exact": {}, "measured": {}}|};
+      {|{"suite": "s\ud800", "row": "r", "exact": {}, "measured": {}}|};
+      {|{"suite": "s\u12", "row": "r", "exact": {}, "measured": {}}|};
+      "{\"suite\": \"raw\001control\", \"row\": \"r\", \"exact\": {}, \"measured\": {}}";
+    ];
+  let line = BR.to_line (List.nth tricky 2) in
+  Alcotest.(check bool) "a (suite, row) pair seen twice" true
+    (is_error_at 2 (BR.of_string (line ^ "\n" ^ line)));
+  Alcotest.(check bool) "unreadable file" true
+    (Result.is_error (BR.read "/nonexistent/bench_record.json"))
+
+let test_record_diff () =
+  let row ?(suite = "scale") ?(exact = [ "proposals", BR.Int 10 ]) name measured =
+    { BR.suite; row = name; exact; measured }
+  in
+  let fails ~old ~new_ =
+    List.filter_map
+      (fun f -> if f.BR.fails then Some (f.BR.f_row ^ " " ^ f.BR.f_field) else None)
+      (BR.diff ~threshold:20. old new_)
+  in
+  Alcotest.(check (list string)) "identical runs" []
+    (fails ~old:[ row "a" [ "gs_ms", 8. ] ] ~new_:[ row "a" [ "gs_ms", 8. ] ]);
+  Alcotest.(check (list string)) "exact drift fails" [ "a proposals" ]
+    (fails ~old:[ row "a" [] ] ~new_:[ row ~exact:[ "proposals", BR.Int 11 ] "a" [] ]);
+  Alcotest.(check (list string)) "an exact field appearing fails" [ "a fingerprint" ]
+    (fails ~old:[ row "a" [] ]
+       ~new_:[ row ~exact:[ "proposals", BR.Int 10; "fingerprint", BR.Str "ab" ] "a" [] ]);
+  Alcotest.(check (list string)) "an exact field disappearing fails" [ "a proposals" ]
+    (fails ~old:[ row "a" [] ] ~new_:[ row ~exact:[] "a" [] ]);
+  Alcotest.(check (list string)) "25% and 2 ms slower fails" [ "a gs_ms" ]
+    (fails ~old:[ row "a" [ "gs_ms", 8. ] ] ~new_:[ row "a" [ "gs_ms", 10. ] ]);
+  Alcotest.(check (list string)) "25% but 0.5 ms passes" []
+    (fails ~old:[ row "a" [ "gs_ms", 2. ] ] ~new_:[ row "a" [ "gs_ms", 2.5 ] ]);
+  Alcotest.(check (list string)) "2 ms but 10% passes" []
+    (fails ~old:[ row "a" [ "gs_ms", 20. ] ] ~new_:[ row "a" [ "gs_ms", 22. ] ]);
+  Alcotest.(check (list string)) "faster never fails" []
+    (fails ~old:[ row "a" [ "gs_ms", 100. ] ] ~new_:[ row "a" [ "gs_ms", 10. ] ]);
+  let old = [ row "a" []; row "gone" [ "gs_ms", 1. ] ] in
+  let new_ = [ row "a" [ "gs_ms", 50. ]; row "fresh" [ "gs_ms", 1. ] ] in
+  Alcotest.(check (list string)) "measured fields missing on one side are skipped; \
+                                   one-sided rows do not fail" [] (fails ~old ~new_);
+  let changes = List.map (fun f -> f.BR.f_row, f.BR.change) (BR.diff ~threshold:20. old new_) in
+  Alcotest.(check bool) "one-sided rows are reported" true
+    (changes = [ "fresh", BR.Only_new; "gone", BR.Only_old ]);
+  Alcotest.(check (list string)) "rows match on (suite, row)" []
+    (fails ~old:[ row ~suite:"plane" "a" []; row "a" [] ]
+       ~new_:[ row "a" []; row ~suite:"plane" "a" [] ])
+
 let () =
   Alcotest.run "harness"
     [
@@ -172,5 +295,11 @@ let () =
         [
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "violations render" `Quick test_violations_render;
+        ] );
+      ( "bench-record",
+        [
+          Alcotest.test_case "write/read round-trip" `Quick test_record_round_trip;
+          Alcotest.test_case "malformed lines are errors" `Quick test_record_malformed;
+          Alcotest.test_case "diff semantics" `Quick test_record_diff;
         ] );
     ]

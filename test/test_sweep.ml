@@ -547,38 +547,33 @@ let test_scale_repeat_runs_identical () =
   in
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
-let test_scale_json_schema () =
+let test_scale_records_round_trip () =
   let results =
     List.map
       (fun row -> H.Scale.run_row (H.Scale.prepare row))
       [ scale_row; scale_row_common ]
   in
-  let json = H.Scale.to_json ~jobs:1 results in
-  let contains sub =
-    let n = String.length json and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
-    go 0
-  in
-  (* The exact shapes bench_compare's scanner keys on. *)
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "row marker for %s" (H.Scale.label r.H.Scale.row))
-        true
-        (contains
-           (Printf.sprintf "{\"row\": \"%s\"" (H.Scale.label r.H.Scale.row))))
-    results;
-  List.iter
-    (fun key ->
-      Alcotest.(check bool)
-        (Printf.sprintf "key %s present" key)
-        true
-        (contains (Printf.sprintf "\"%s\":" key)))
-    [
-      "proposals"; "rounds"; "blocking_gs"; "stable"; "blocking_perturbed";
-      "eps_min"; "fingerprint"; "gs_ms"; "verify_sequential_ms";
-      "verify_parallel_ms"; "jobs";
-    ]
+  let records = H.Scale.records ~jobs:1 results in
+  Alcotest.(check bool) "read back unchanged" true
+    (H.Bench_record.of_string
+       (String.concat "\n" (List.map H.Bench_record.to_line records))
+    = Ok records);
+  List.iter2
+    (fun (r : H.Scale.result) (b : H.Bench_record.t) ->
+      Alcotest.(check string) "one row per result" (H.Scale.label r.H.Scale.row) b.row;
+      List.iter
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "exact %s present" key)
+            true (List.mem_assoc key b.exact))
+        [
+          "proposals"; "rounds"; "blocking_gs"; "stable"; "blocking_perturbed";
+          "eps_min"; "fingerprint";
+        ];
+      Alcotest.(check (list string)) "measured fields"
+        [ "jobs"; "gs_ms"; "verify_sequential_ms"; "verify_parallel_ms" ]
+        (List.map fst b.measured))
+    results records
 
 let () =
   Alcotest.run "sweep"
@@ -645,7 +640,7 @@ let () =
             test_scale_shard_counts_partition;
           Alcotest.test_case "repeat runs identical" `Quick
             test_scale_repeat_runs_identical;
-          Alcotest.test_case "JSON schema matches bench_compare scanner" `Quick
-            test_scale_json_schema;
+          Alcotest.test_case "records round-trip through the reader" `Quick
+            test_scale_records_round_trip;
         ] );
     ]
