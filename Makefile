@@ -63,7 +63,7 @@ serve-quick:
 	dune exec bin/main.exe -- load --instances 100 --jobs 2 --out BENCH_serve.quick.json
 
 # Golden reports: `bsm run -v` for bipartite/unauth at k = 4, 8, 16 and
-# one-sided/unauth at k = 8, diffed byte for byte against
+# one-sided/unauth at k = 8, 16, diffed byte for byte against
 # test/golden/*.txt. Pins the majority-proxy vote and general phase king
 # (both group through Util.group_by). About 2 s.
 golden:

@@ -633,13 +633,7 @@ let table_chaos ~sched ~jobs () =
   in
   let get_outcomes =
     sweep ~sched ~table:"C1 chaos grid" ~k_range
-      (fun c ->
-        {
-          Chaos.Chaos_sweep.cell = c;
-          oracle =
-            Chaos.Oracle.run ~seed:c.Chaos.Chaos_sweep.chaos_seed
-              ~schedule:c.Chaos.Chaos_sweep.schedule c.Chaos.Chaos_sweep.case;
-        })
+      (fun c -> Chaos.Chaos_sweep.run_cell c)
       cells
   in
   fun () ->

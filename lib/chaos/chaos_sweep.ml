@@ -234,11 +234,28 @@ let t_cases ~k =
       ~profile_seed:((100 * k) + 4)
       (setting ~k ~topology:Topology.One_sided ~auth:Core.Setting.Authenticated
          ~tl:third ~tr:k);
-    Sweep.case
-      ~profile_seed:((100 * k) + 5)
-      ~scenario_seed:k ~adversary:Sweep.Random_coalition
-      (setting ~k ~topology:Topology.Fully_connected
-         ~auth:Core.Setting.Unauthenticated ~tl:third ~tr:k);
+    (let s =
+       setting ~k ~topology:Topology.Fully_connected
+         ~auth:Core.Setting.Unauthenticated ~tl:third ~tr:k
+     in
+     Sweep.case
+       ~label:(Format.asprintf "%a + random coalition" Core.Setting.pp s)
+       ~profile_seed:((100 * k) + 5)
+       ~scenario_seed:k ~adversary:Sweep.Random_coalition s);
+  ]
+
+(* The mutation group of the vocabulary below, aimed at R0's traffic. *)
+let mutation_schedules =
+  let r0 = Party_id.right 0 in
+  [
+    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Bit_flip r0;
+    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Equivocate r0;
+    Schedule.all
+      [
+        Schedule.corrupt ~rate:0.25 ~kind:Mutation.Replay r0;
+        Schedule.corrupt ~rate:0.25 ~kind:Mutation.Truncate r0;
+      ];
+    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Forge_sender r0;
   ]
 
 (* The schedule vocabulary under test. The omission group's first five
@@ -264,14 +281,9 @@ let standard_schedules ~k =
     Schedule.union
       (Schedule.blackout ~from_round:1 ~until_round:2)
       (Schedule.restrict_to_side Side.Left (Schedule.bernoulli ~rate:0.1));
-    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Bit_flip r0;
-    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Equivocate r0;
-    Schedule.all
-      [
-        Schedule.corrupt ~rate:0.25 ~kind:Mutation.Replay r0;
-        Schedule.corrupt ~rate:0.25 ~kind:Mutation.Truncate r0;
-      ];
-    Schedule.corrupt ~rate:0.3 ~kind:Mutation.Forge_sender r0;
+  ]
+  @ mutation_schedules
+  @ [
     (* The self-stabilization group: scramble R0's registered protocol
        state between rounds and let the convergence oracle time the
        recovery. Deterministic scramble at round 1 (every cell fires)

@@ -30,6 +30,10 @@ type outcome = {
   oracle : Oracle.report;
 }
 
+(** [run_cell c] — one cell through {!Oracle.run}, seeded by its
+    [chaos_seed]. *)
+val run_cell : ?max_rounds:int -> cell -> outcome
+
 (** [run_cells ?pool cells] — every cell through {!Oracle.run}, in input
     order; parallel across the pool's domains when [pool] is given. *)
 val run_cells : ?pool:Pool.t -> ?max_rounds:int -> cell list -> outcome list
@@ -99,5 +103,10 @@ val records : jobs:int -> outcome list -> Bsm_harness.Bench_record.t list
     seconds end-to-end, wired into [make chaos-quick] / CI); [full_grid]
     adds k = 4 and two more chaos seeds. *)
 val quick_grid : unit -> cell list
+
+(** The mutation group of the schedule vocabulary on its own: bit-flip,
+    equivocate, replay+truncate and forge-sender corruption of R0's
+    traffic, each charging only R0. *)
+val mutation_schedules : Schedule.t list
 
 val full_grid : unit -> cell list

@@ -169,14 +169,11 @@ let virtual_net (env : Engine.env) ~topology ~auth =
       env.send_multi_w relay_codec opposite (Request p)
     end
   in
-  let signed = match auth with Signed _ -> true | Majority -> false in
   let sync () =
     let direct = ref [] in
-    let forwards = ref [] in
-    (* Signed mode defers Forward decoding: frames are kept as raw spans
-       and only the first fresh copy per (src, id) pays for a body
-       decode below. Majority mode must decode every copy anyway (the
-       vote groups payloads), so it keeps the eager path. *)
+    (* Forward frames (tag 2) are kept as raw envelopes (forwarder and
+       span), in both modes: the tag byte alone says what they are, and
+       each mode below decides which copies are worth a body decode. *)
     let fwd_frames = ref [] in
     for _ = 1 to stride do
       let inbox = env.next_round () in
@@ -189,14 +186,11 @@ let virtual_net (env : Engine.env) ~topology ~auth =
           if tag = request_tag then
             (* Relay duty never needs the body — header peek only. *)
             forward_payload env ~topology ~from:e.src ~data:e.data
-          else if signed && tag = forward_tag then
-            fwd_frames := e.data :: !fwd_frames
+          else if tag = forward_tag then fwd_frames := e :: !fwd_frames
           else
             match Wire.decode_slice relay_codec e.data with
             | Ok (Direct body) -> direct := (e.src, body) :: !direct
-            | Ok (Request _) -> ()
-            | Ok (Forward p) -> forwards := (e.src, p) :: !forwards
-            | Error _ -> ())
+            | Ok (Request _ | Forward _) | Error _ -> ())
         inbox
     done;
     let fresh p =
@@ -210,13 +204,15 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     let relayed =
       match auth with
       | Signed { verifier; _ } ->
+        (* Only the first fresh copy per (src, id) pays for a body decode
+           and a signature check. *)
         List.filter_map
-          (fun frame ->
-            match peek_header frame with
+          (fun (e : Engine.envelope) ->
+            match peek_header e.data with
             | Some (src, dst, hvround, id)
               when Party_id.equal dst self && hvround = !vround
                    && not (Hashtbl.mem delivered (src, id)) -> begin
-              match Wire.decode_slice relay_codec frame with
+              match Wire.decode_slice relay_codec e.data with
               | Ok (Forward ({ signature = Some signature; _ } as p))
                 when fresh p
                      && Crypto.Verifier.verify verifier ~signer:p.src
@@ -227,14 +223,31 @@ let virtual_net (env : Engine.env) ~topology ~auth =
             | Some _ | None -> None)
           !fwd_frames
       | Majority ->
-        (* Group identical payloads; accept those vouched for by a strict
-           majority of distinct forwarders on the opposite side. *)
-        let key (_, p) = Wire.encode payload_codec p in
-        Util.group_by ~key ~equal_key:String.equal !forwards
-        |> List.filter_map (fun (_, items) ->
-               let p = snd (List.hd items) in
+        (* Accept a payload vouched for by a strict majority of distinct
+           forwarders on the opposite side. Honest relays forward
+           byte-identical frames, so the copies are grouped by their raw
+           bytes first and each distinct frame is decoded once. Grouping
+           on bytes alone would split a vote, though: a varint may be
+           overlong, so one payload has many encodings. The byte groups
+           are therefore merged by the payload's canonical encoding,
+           which keeps the groups, their first-seen order, the payload
+           [p] (that of the first copy) and the forwarder sets exactly
+           those of a vote over every decoded copy keyed canonically. *)
+        Util.group_by
+          ~key:(fun (e : Engine.envelope) -> Wire.Slice.to_string e.data)
+          ~equal_key:String.equal !fwd_frames
+        |> List.filter_map (fun (bytes, copies) ->
+               match Wire.decode relay_codec bytes with
+               | Ok (Forward p) ->
+                 Some (p, List.map (fun (e : Engine.envelope) -> e.src) copies)
+               | Ok (Direct _ | Request _) | Error _ -> None)
+        |> Util.group_by
+             ~key:(fun (p, _) -> Wire.encode payload_codec p)
+             ~equal_key:String.equal
+        |> List.filter_map (fun (_, groups) ->
+               let p = fst (List.hd groups) in
                let forwarders =
-                 List.sort_uniq Party_id.compare (List.map fst items)
+                 List.sort_uniq Party_id.compare (List.concat_map snd groups)
                  |> List.filter (fun f ->
                         Side.equal (Party_id.side f)
                           (Side.opposite (Party_id.side p.src)))

@@ -8,6 +8,9 @@
     - {b Majority} (Lemma 6, unauthenticated): [v] accepts a message
       received identically from strictly more than [k/2] distinct
       forwarders — sound while the forwarding side has an honest majority.
+      "Identically" means the same payload, compared on its canonical
+      encoding: copies that differ only in how a field was encoded (an
+      overlong varint) vote together.
     - {b Signed} (Lemmas 8/10, authenticated): requests carry the sender's
       signature over [(src, dst, vround, id, body)]; [v] accepts any
       correctly-signed forward. The virtual-round stamp [vround] is the

@@ -458,6 +458,34 @@ let test_oracle_counts_fates () =
     (m.Engine.messages_delivered + m.Engine.messages_dropped_topology
    + m.Engine.messages_dropped_fault)
 
+let test_majority_proxy_absorbs_mutation () =
+  (* No T-case of the chaos grid runs an unauthenticated relay topology,
+     so in-flight mutation never reaches the majority-proxy vote there.
+     Bipartite/unauthenticated k=4 (Thm 3) with R0 inside the right
+     budget: the mutation group of the schedule vocabulary rewrites the
+     frames R0 forwards, and the honest parties must still achieve bSM. *)
+  let s =
+    setting ~k:4 ~topology:Topology.Bipartite ~auth:Core.Setting.Unauthenticated ~tl:1
+      ~tr:1
+  in
+  List.iter
+    (fun sched ->
+      List.iter
+        (fun seed ->
+          let case = H.Sweep.case ~profile_seed:(40 + seed) s in
+          let r = Oracle.run ~seed ~schedule:sched case in
+          let m = r.Oracle.metrics in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: frames corrupted" (Schedule.describe sched) seed)
+            true
+            (m.Engine.messages_corrupted > 0);
+          Alcotest.(check bool) "R0 within the right budget" true r.Oracle.within_budget;
+          if r.Oracle.verdict = Oracle.Violation then
+            Alcotest.failf "%s under %s, seed %d: VIOLATION" case.H.Sweep.label
+              (Schedule.describe sched) seed)
+        [ 1; 2; 3 ])
+    Chaos_sweep.mutation_schedules
+
 (* --- the convergence oracle ------------------------------------------------ *)
 
 (* Fully-connected/unauthenticated k=2 with spare right budget: the
@@ -935,6 +963,8 @@ let () =
           Alcotest.test_case "over budget degrades, no crash" `Quick
             test_over_budget_degrades_without_crash;
           Alcotest.test_case "per-fate counts" `Quick test_oracle_counts_fates;
+          Alcotest.test_case "majority proxy absorbs mutation" `Quick
+            test_majority_proxy_absorbs_mutation;
         ] );
       ( "chaos-sweep",
         [

@@ -193,6 +193,253 @@ let test_majority_proxy_blocks_forgery () =
     Alcotest.(check int) "only the real message" 1 (List.length inbox)
   | None -> Alcotest.fail "receiver did not sync"
 
+(* --- majority vote: differential against decode-every-copy -------------- *)
+
+(* The majority vote as it was when every forwarded copy was decoded and
+   keyed by its canonical re-encoding: the reference [virtual_net]'s
+   [sync] must reproduce exactly. [inbox] is everything one [sync] read,
+   as (sender, bytes) in arrival order; [delivered] is the receiver's
+   replay memory, carried across calls like the real one. *)
+let reference_majority ~self ~k ~vround ~delivered inbox =
+  let open Core.Channels in
+  let direct = ref [] and forwards = ref [] in
+  List.iter
+    (fun (src, data) ->
+      match Wire.decode relay_codec data with
+      | Ok (Direct body) -> direct := (src, body) :: !direct
+      | Ok (Request _) -> ()
+      | Ok (Forward p) -> forwards := (src, p) :: !forwards
+      | Error _ -> ())
+    inbox;
+  let fresh p =
+    Party_id.equal p.dst self && p.vround = vround
+    && not (Hashtbl.mem delivered (p.src, p.id))
+  in
+  let deliver p =
+    Hashtbl.replace delivered (p.src, p.id) ();
+    p.src, p.body
+  in
+  let key (_, p) = Wire.encode relay_codec (Forward p) in
+  let relayed =
+    Util.group_by ~key ~equal_key:String.equal !forwards
+    |> List.filter_map (fun (_, items) ->
+           let p = snd (List.hd items) in
+           let forwarders =
+             List.sort_uniq Party_id.compare (List.map fst items)
+             |> List.filter (fun f ->
+                    Side.equal (Party_id.side f) (Side.opposite (Party_id.side p.src)))
+           in
+           if fresh p && 2 * List.length forwarders > k then Some (deliver p) else None)
+  in
+  List.stable_sort (fun (a, _) (b, _) -> Party_id.compare a b)
+    (List.rev_append !direct relayed)
+
+(* A Forward frame for [p] with the [vround] and [id] varints written
+   [extra_vround] / [extra_id] bytes longer than canonical (0 = the
+   canonical frame an honest relay sends). The decoder accepts overlong
+   varints, so every variant decodes to [p]. *)
+let forward_frame ?(extra_vround = 0) ?(extra_id = 0) (p : Core.Channels.payload) =
+  let varint ~extra n =
+    let c = Wire.encode Wire.uint n in
+    if extra = 0 then c
+    else begin
+      let last = String.length c - 1 in
+      String.sub c 0 last
+      ^ String.make 1 (Char.chr (Char.code c.[last] lor 0x80))
+      ^ String.make (extra - 1) '\128'
+      ^ "\000"
+    end
+  in
+  String.concat ""
+    [
+      "\002";
+      Wire.encode Wire.party_id p.src;
+      Wire.encode Wire.party_id p.dst;
+      varint ~extra:extra_vround p.vround;
+      varint ~extra:extra_id p.id;
+      Wire.encode Wire.string p.body;
+      Wire.encode (Wire.option Crypto.Signature.codec) p.signature;
+    ]
+
+let relayed_payload ~src ~dst ~vround ~id body =
+  { Core.Channels.src; dst; vround; id; body; signature = None }
+
+(* Wrap [env] so every envelope [next_round] hands out is also logged,
+   copied out of the arena, for the reference vote. *)
+let logging_env (env : Engine.env) log =
+  {
+    env with
+    Engine.next_round =
+      (fun () ->
+        let inbox = env.Engine.next_round () in
+        List.iter
+          (fun (e : Engine.envelope) ->
+            log := (e.Engine.src, Wire.Slice.to_string e.Engine.data) :: !log)
+          inbox;
+        inbox);
+  }
+
+let prop_majority_vote_matches_reference =
+  (* Bipartite, k in {3, 4}, every link open so that same-side parties
+     can inject forwards too. Honest parties exchange traffic over the
+     virtual net; the rest run scripted relay programs that forward, per
+     planned message, a random mix of byte-identical copies, overlong
+     re-encodings, a rival payload under the same (src, id), truncated
+     and garbage tag-2 frames, and stale copies of the previous virtual
+     round. Every honest sync must equal the reference vote over the
+     same inbox. *)
+  QCheck.Test.make ~name:"majority vote matches decode-every-copy reference" ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.make seed in
+      let k = 3 + Rng.int rng 2 in
+      let topology = Topology.Bipartite in
+      let vrounds = 3 in
+      let roster = Party_id.all ~k in
+      (* L0 and L1 stay honest, so every run has relayed traffic. *)
+      let scripted =
+        List.filter
+          (fun p ->
+            (not (Party_id.equal p (Party_id.left 0)))
+            && (not (Party_id.equal p (Party_id.left 1)))
+            && Rng.int rng 100 < 45)
+          roster
+      in
+      let is_scripted p = List.exists (Party_id.equal p) scripted in
+      let honest = List.filter (fun p -> not (is_scripted p)) roster in
+      (* (vround, src, dst, body, relayed payload if proxied); ids follow
+         each sender's own count of proxied sends, as in [virtual_net]. *)
+      let next_id = Hashtbl.create 8 in
+      let plan =
+        List.concat_map
+          (fun v ->
+            List.concat_map
+              (fun src ->
+                List.filter_map
+                  (fun dst ->
+                    if Party_id.equal src dst || Rng.bool rng then None
+                    else begin
+                      let body =
+                        Printf.sprintf "m%d-%s-%s" v (Party_id.to_string src)
+                          (Party_id.to_string dst)
+                      in
+                      let proxied =
+                        if Topology.connected topology src dst then None
+                        else begin
+                          let id = Option.value ~default:0 (Hashtbl.find_opt next_id src) in
+                          Hashtbl.replace next_id src (id + 1);
+                          Some (relayed_payload ~src ~dst ~vround:v ~id body)
+                        end
+                      in
+                      Some (v, src, dst, body, proxied)
+                    end)
+                  honest)
+              honest)
+          (Util.range 0 vrounds)
+      in
+      let proxied_in v =
+        List.filter_map (fun (v', _, _, _, p) -> if v' = v then p else None) plan
+      in
+      let mismatches = ref [] in
+      let honest_program p (env : Engine.env) =
+        let log = ref [] in
+        let net = Core.Channels.virtual_net (logging_env env log) ~topology ~auth:Core.Channels.Majority in
+        let delivered = Hashtbl.create 16 in
+        for v = 0 to vrounds - 1 do
+          List.iter
+            (fun (v', src, dst, body, _) ->
+              if v' = v && Party_id.equal src p then net.Bsm_runtime.Net.send dst body)
+            plan;
+          log := [];
+          let got = net.Bsm_runtime.Net.sync () in
+          let want =
+            reference_majority ~self:p ~k ~vround:v ~delivered (List.rev !log)
+          in
+          if got <> want then mismatches := (p, v) :: !mismatches
+        done
+      in
+      let scripted_program p (env : Engine.env) =
+        let rng = Rng.make (seed + (7919 * (1 + Hashtbl.hash (Party_id.to_string p)))) in
+        let frames_for v (q : Core.Channels.payload) =
+          let canonical = forward_frame q in
+          match Rng.int rng 9 with
+          | 0 -> []
+          | 1 -> [ canonical ]
+          | 2 -> [ canonical; canonical ]
+          | 3 -> [ forward_frame ~extra_id:(1 + Rng.int rng 2) q ]
+          | 4 -> [ forward_frame ~extra_vround:(1 + Rng.int rng 2) q; canonical ]
+          | 5 -> [ forward_frame { q with body = q.body ^ "*" }; canonical ]
+          | 6 -> [ String.sub canonical 0 (1 + Rng.int rng (String.length canonical - 1)) ]
+          | 7 -> [ "\002" ^ String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256)) ]
+          | _ -> List.map forward_frame (if v > 0 then proxied_in (v - 1) else [ q ])
+        in
+        let forward_all v =
+          List.iter
+            (fun (q : Core.Channels.payload) ->
+              if not (Party_id.equal q.dst p) then
+                List.iter (env.Engine.send q.dst) (frames_for v q))
+            (proxied_in v)
+        in
+        for v = 0 to vrounds - 1 do
+          (* Occasionally early: lands in the first engine round of the
+             receiver's sync rather than the second. *)
+          if Rng.int rng 4 = 0 then forward_all v;
+          ignore (env.Engine.next_round ());
+          forward_all v;
+          ignore (env.Engine.next_round ())
+        done
+      in
+      let cfg = Engine.config ~k ~link:(Engine.Custom (fun _ _ -> true)) () in
+      ignore
+        (Engine.run cfg ~programs:(fun p env ->
+             if is_scripted p then scripted_program p env else honest_program p env));
+      match !mismatches with
+      | [] -> true
+      | (p, v) :: _ ->
+        QCheck.Test.fail_reportf "k=%d: %s's sync %d differs from the reference vote" k
+          (Party_id.to_string p) v)
+
+let test_majority_merges_overlong_copy () =
+  (* k = 3: R0 forwards the canonical frame, R1 the same payload with an
+     overlong [id] varint, R2 stays silent. Two of three relays vouch for
+     the payload, so it is a majority even though no two copies share
+     their bytes. *)
+  let k = 3 in
+  let p =
+    relayed_payload ~src:(Party_id.left 0) ~dst:(Party_id.left 1) ~vround:0 ~id:0 "hi"
+  in
+  Alcotest.(check string) "canonical frame is the honest encoding"
+    (Wire.encode Core.Channels.relay_codec (Forward p))
+    (forward_frame p);
+  let relay frame (env : Engine.env) =
+    ignore (env.Engine.next_round ());
+    env.Engine.send p.dst frame;
+    ignore (env.Engine.next_round ())
+  in
+  let got = ref None in
+  let programs q (env : Engine.env) =
+    if Party_id.equal q (Party_id.right 0) then relay (forward_frame p) env
+    else if Party_id.equal q (Party_id.right 1) then relay (forward_frame ~extra_id:1 p) env
+    else if Party_id.equal q (Party_id.right 2) then B.Strategies.silent env
+    else begin
+      let net =
+        Core.Channels.virtual_net env ~topology:Topology.Bipartite
+          ~auth:Core.Channels.Majority
+      in
+      if Party_id.equal q p.src then net.Bsm_runtime.Net.send p.dst p.body;
+      let inbox = net.Bsm_runtime.Net.sync () in
+      if Party_id.equal q p.dst then got := Some inbox
+    end
+  in
+  let cfg = Engine.config ~k ~link:(Engine.Of_topology Topology.Bipartite) () in
+  ignore (Engine.run cfg ~programs:(fun q env -> programs q env));
+  match !got with
+  | Some [ (src, "hi") ] ->
+    Alcotest.(check bool) "from L0" true (Party_id.equal src (Party_id.left 0))
+  | Some inbox ->
+    Alcotest.failf "expected exactly one delivery, got %d" (List.length inbox)
+  | None -> Alcotest.fail "receiver did not sync"
+
 let signed_auth pki p =
   Core.Channels.Signed
     { signer = Crypto.Pki.signer pki p; verifier = Crypto.Pki.verifier pki }
@@ -1006,6 +1253,9 @@ let () =
             test_majority_proxy_survives_minority_byz;
           Alcotest.test_case "majority proxy blocks junk" `Quick
             test_majority_proxy_blocks_forgery;
+          Alcotest.test_case "majority vote merges overlong copy" `Quick
+            test_majority_merges_overlong_copy;
+          QCheck_alcotest.to_alcotest prop_majority_vote_matches_reference;
           Alcotest.test_case "signed proxy, single honest relay" `Quick
             test_signed_proxy_single_honest_relay;
           Alcotest.test_case "signed proxy drops late forward" `Quick
